@@ -6,16 +6,7 @@ import os
 import sys
 
 
-def _apply_thread_cap() -> None:
-    # must run before numpy loads its BLAS; KINMIX_THREADS caps the pools
-    cap = os.environ.get("KINMIX_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(prog="kinmix", description="two-species BGK mixture simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,9 +1,10 @@
 """Micro-macro time stepping and full runs.
 
-One step, in this fixed order: push particles, deposit and differentiate the
-kinetic moments, advance the macro state, rebuild the Maxwellian fields and
-update particle weights (Duhamel against the per-cell damping rate), then
-re-match so every cell's remainder keeps zero discrete moments.
+One step, in this fixed order: push particles and sort them back into cell
+order, deposit and differentiate the kinetic moments, advance the macro
+state, rebuild the Maxwellian fields and update particle weights (Duhamel
+against the per-cell damping rate), then re-match so every cell's remainder
+keeps zero discrete moments.
 
 The micro source for species k combines three pieces that all project onto
 the same local Maxwellian span, so their projections are assembled from one
@@ -22,7 +23,18 @@ from .grids import GridSpec
 from .homogeneous import analytic_temperature_gap, analytic_velocity_gap, moment_ode_step
 from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
 from .model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian
-from .particles import deposit, init_particles, match, push, update_weights
+from .particles import (
+    Cells,
+    ParticleSet,
+    cell_fields,
+    deposit,
+    init_particles,
+    local_maxwellian,
+    match,
+    push,
+    sort_by_cell,
+    update_weights,
+)
 from . import reference
 
 
@@ -57,33 +69,34 @@ def _micro_source(
     p: MixtureParams,
     g_moments,
     transport: bool,
-    cached_idx=None,
+    shared=None,
 ):
-    """Vectorized micro source S(x, v) for one species plus its damping rate.
+    """Vectorized micro source S(x, v) for one species plus its per-cell
+    damping rate.
 
     mk holds the per-cell fields of species k; (u_cross, theta_cross) are the
     interaction-Maxwellian parameters, g_moments the deposited remainder
     moments (rows <g>, <vg>, <v^2 g>, <v^3 g>) or None when transport is off.
-    cached_idx is an optional (positions, cell indices) pair reused when the
-    source is evaluated at exactly that positions array.
+    shared is an optional (positions, velocities, Cells, LocalMaxwellian)
+    tuple reused when the source is evaluated at exactly those two arrays.
+
+    In the scaled Hermite basis h1 = (v-u)/sigma, h2 = h1^2 - 1 of the cell
+    Maxwellian the source is M_k(v) [P(h) - v Q(h)] + rate M_kj(v), where P
+    is the projection bracket (the one `projection.eval_projection` builds)
+    and Q the transport factor, both with per-cell coefficients on (1, h1, h2).
     """
     mr = 1.0 if species == 1 else p.mass_ratio2
     eps_k = p.eps1 if species == 1 else p.eps2
     epst_k = p.epst1 if species == 1 else p.epst2
-    n = np.asarray(mk.n, dtype=float)
-    u = np.asarray(mk.u, dtype=float)
-    th = np.asarray(mk.T, dtype=float) / mr
+    n, u, th = cell_fields(mk, mr, grid.Nx)
+    sig = np.sqrt(th)
     rate = p.nu12 * np.asarray(n_other, dtype=float) / epst_k
 
     # moments of the interaction Maxwellian against (1, v-u, |v-u|^2)
     duc = u_cross - u
-    mc0 = n
-    mc1 = n * duc
-    mc2 = n * (theta_cross + duc * duc)
-
-    comb0 = -rate * mc0
-    comb1 = -rate * mc1
-    comb2 = -rate * mc2
+    comb0 = -rate * n
+    comb1 = -rate * (n * duc)
+    comb2 = -rate * (n * (theta_cross + duc * duc))
 
     if transport:
         dx = grid.dx
@@ -100,33 +113,64 @@ def _micro_source(
         comb0 = comb0 + dG1
         comb1 = comb1 + dG2 - u * dG1
         comb2 = comb2 + dG3 - 2.0 * u * dG2 + u * u * dG1
-    else:
-        A = B = Cc = None
+        # v dx M = v M (A + B sigma h1 + C theta h2)
+        Q = (A, B * sig, Cc * th)
+    # combined projection Pi(phi1 + phi2 - rate*M_kj) per unit M_k
+    P = (comb0 / n, comb1 / (sig * n), (comb2 / th - comb0) / (2.0 * n))
 
+    # rate * M_kj(v) = amp * exp(-((v - u_cross) / sigma_cross)^2 / 2)
     thc = np.asarray(theta_cross, dtype=float)
     uc = np.asarray(u_cross, dtype=float)
+    inv_sig_c = 1.0 / np.sqrt(thc)
+    amp_c = rate * n / np.sqrt(2.0 * np.pi * thc)
+
+    def basis_sum(cells, coeffs, loc):
+        # coeffs[0] + coeffs[1] h1 + coeffs[2] h2, at most one temporary
+        out = cells.expand(coeffs[2])
+        out *= loc.h2
+        out += cells.expand(coeffs[0])
+        t = cells.expand(coeffs[1])
+        t *= loc.h1
+        out += t
+        return out
 
     def source_eval(x, v, t):
-        if cached_idx is not None and x is cached_idx[0]:
-            idx = cached_idx[1]
+        if shared is not None and x is shared[0] and v is shared[1]:
+            cells, loc = shared[2], shared[3]
         else:
-            idx = grid.cell_index(x)
-        up, thp, np_ = u[idx], th[idx], n[idx]
-        w = v - up
-        Mk_v = np_ / np.sqrt(2.0 * np.pi * thp) * np.exp(-(w * w) / (2.0 * thp))
-        # combined projection Pi(phi1 + phi2 - rate*M_kj)
-        bracket = comb0[idx] + w * comb1[idx] / thp + (w * w / (2.0 * thp) - 0.5) * (
-            comb2[idx] / thp - comb0[idx]
-        )
-        out = bracket * Mk_v / np_
+            cells = Cells(grid, x)
+            loc = local_maxwellian(v, cells, mk, mr)
+        out = basis_sum(cells, P, loc)
         if transport:
-            out = out - v * Mk_v * (A[idx] + B[idx] * w + Cc[idx] * (w * w - thp))
-        thcp = thc[idx]
-        Mkj_v = np_ / np.sqrt(2.0 * np.pi * thcp) * np.exp(-((v - uc[idx]) ** 2) / (2.0 * thcp))
-        return out + rate[idx] * Mkj_v
+            q = basis_sum(cells, Q, loc)
+            q *= v
+            out -= q
+            del q
+        out *= loc.M
+        z = cells.expand(uc)
+        np.subtract(v, z, out=z)
+        z *= cells.expand(inv_sig_c)
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        z *= cells.expand(amp_c)
+        out += z
+        return out
 
     lam = p.nu12 * (n / eps_k + np.asarray(n_other, dtype=float) / epst_k)
     return source_eval, lam
+
+
+def _relax_particles(species, ps, cells, mk, n_other, u_cross, theta_cross, p, G, grid, dt, t, transport):
+    """Weight update and matching of one cell-sorted species grouped by
+    `cells`; the cell Maxwellian at its particles is evaluated once and shared
+    by the source, the update and the matching.  Returns (matched set,
+    skipped cells)."""
+    mr = 1.0 if species == 1 else p.mass_ratio2
+    loc = local_maxwellian(ps.v, cells, mk, mr)
+    se, lam = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport, (ps.x, ps.v, cells, loc))
+    ps = update_weights(ps, se, lam, dt, grid, t, cells=cells)
+    return match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells)
 
 
 def step(
@@ -143,12 +187,10 @@ def step(
     ps1, ps2 = sim.ps1, sim.ps2
 
     if transport:
-        ps1 = push(ps1, dt, grid)
-        ps2 = push(ps2, dt, grid)
-        idx1 = grid.cell_index(ps1.x)
-        idx2 = grid.cell_index(ps2.x)
-        G1 = deposit(ps1, grid, idx=idx1)
-        G2 = deposit(ps2, grid, idx=idx2)
+        ps1, cells1 = sort_by_cell(push(ps1, dt, grid), grid)
+        ps2, cells2 = sort_by_cell(push(ps2, dt, grid), grid)
+        G1 = deposit(ps1, grid, cells=cells1)
+        G2 = deposit(ps2, grid, cells=cells2)
         pdiv1 = np.stack([_centered_dx(G1[j], grid.dx) for j in (1, 2, 3)], axis=-1)
         pdiv2 = np.stack([_centered_dx(G2[j], grid.dx) for j in (1, 2, 3)], axis=-1)
         macro = fv_step(sim.macro, (pdiv1, pdiv2), p, dt, cfl=cfl, substep_source=substep_source)
@@ -156,10 +198,10 @@ def step(
         # space-homogeneous: macro moments follow the relaxation ODEs (RK4),
         # densities constant; no kinetic flux feeds back
         G1 = G2 = None
-        idx1 = grid.cell_index(ps1.x)
-        idx2 = grid.cell_index(ps2.x)
-        m1 = moments_from_conserved(sim.macro.U1, 1.0)
-        m2 = moments_from_conserved(sim.macro.U2, mr2)
+        ps1, cells1 = sort_by_cell(ps1, grid)
+        ps2, cells2 = sort_by_cell(ps2, grid)
+        m1 = moments_from_conserved(sim.macro.U1, 1.0, where="(species 1)")
+        m2 = moments_from_conserved(sim.macro.U2, mr2, where="(species 2)")
         u1, u2, T1, T2 = moment_ode_step(m1.u, m2.u, m1.T, m2.T, p, m1.n, m2.n, dt)
         macro = MacroState(
             U1=conserved_from_moments(SpeciesMoments(n=m1.n, u=u1, T=T1), 1.0),
@@ -172,13 +214,8 @@ def step(
     m2 = moments_from_conserved(macro.U2, mr2, where="(species 2)")
     ex = exchange_quantities(m1, m2, p)
 
-    se1, lam1 = _micro_source(1, grid, m1, m2.n, ex.u12, ex.T12, p, G1, transport, (ps1.x, idx1))
-    se2, lam2 = _micro_source(2, grid, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, transport, (ps2.x, idx2))
-    ps1 = update_weights(ps1, se1, lam1[idx1], dt, grid, macro.t)
-    ps2 = update_weights(ps2, se2, lam2[idx2], dt, grid, macro.t)
-
-    ps1, sk1 = match(ps1, grid, m1, 1.0, idx=idx1)
-    ps2, sk2 = match(ps2, grid, m2, mr2, idx=idx2)
+    ps1, sk1 = _relax_particles(1, ps1, cells1, m1, m2.n, ex.u12, ex.T12, p, G1, grid, dt, macro.t, transport)
+    ps2, sk2 = _relax_particles(2, ps2, cells2, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, grid, dt, macro.t, transport)
 
     return (
         SimState(macro=macro, ps1=ps1, ps2=ps2, step_index=sim.step_index + 1),
@@ -241,8 +278,7 @@ def _reconstruct_f(sim: SimState, p: MixtureParams, grid: GridSpec):
         M = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
         ci = grid.cell_index(ps.x)
         vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
-        H = np.zeros((grid.Nx, grid.Nv))
-        np.add.at(H, (ci, vi), ps.w)
+        H = np.bincount(ci * grid.Nv + vi, weights=ps.w, minlength=grid.Nx * grid.Nv).reshape(grid.Nx, grid.Nv)
         out.append(M + H / (grid.dx * grid.dv_bin))
     return out
 

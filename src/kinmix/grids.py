@@ -62,7 +62,24 @@ class GridSpec:
 
     def cell_index(self, x) -> np.ndarray:
         """Nearest-grid-point cell of each position (periodic)."""
-        return (np.floor(np.asarray(x) / self.dx).astype(np.int64)) % self.Nx
+        q = np.floor(np.asarray(x) / self.dx)
+        # wrapped positions already land in range; only others need the modulo
+        if not (q.size == 0 or (q.min() >= 0 and q.max() < self.Nx)):
+            q = np.mod(q, self.Nx)
+        return q.astype(np.intp)
 
-    def wrap(self, x) -> np.ndarray:
-        return np.mod(x, self.Lx)
+    def wrap(self, x, out=None) -> np.ndarray:
+        """np.mod(x, Lx) (except that -0.0 stays -0.0), into `out` when given,
+        which may be x itself."""
+        x = np.asarray(x, dtype=float)
+        if x.size and -self.Lx <= x.min() and x.max() < 2.0 * self.Lx:
+            # at most one period out: a single exact shift by Lx gives the same
+            # values as np.mod, without its floating-point division
+            if out is None:
+                out = x.copy()
+            elif out is not x:
+                np.copyto(out, x)
+            np.subtract(out, self.Lx, out=out, where=out >= self.Lx)
+            np.add(out, self.Lx, out=out, where=out < 0.0)
+            return out
+        return np.mod(x, self.Lx, out=out)

@@ -41,13 +41,14 @@ def conserved_from_moments(M: SpeciesMoments, mass_ratio: float) -> np.ndarray:
 
 
 def moments_from_conserved(U: np.ndarray, mass_ratio: float, where: str = "") -> SpeciesMoments:
-    """Invert U = (n, nu, <v^2 f>); raises if n or the reconstructed T is not positive."""
+    """Invert U = (n, nu, <v^2 f>); raises if n or the reconstructed T is not
+    positive (NaN included)."""
     n = U[..., 0]
-    if np.any(n <= 0):
+    if not np.all(n > 0):
         raise PositivityError(f"non-positive density {n.min()} {where}".strip())
     u = U[..., 1] / n
     T = (U[..., 2] / n - u * u) * mass_ratio
-    if np.any(T <= 0):
+    if not np.all(T > 0):
         raise PositivityError(f"non-positive reconstructed temperature {T.min()} {where}".strip())
     return SpeciesMoments(n=n, u=u, T=T)
 
@@ -59,8 +60,8 @@ def maxwellian_flux(U: np.ndarray, mass_ratio: float) -> np.ndarray:
     return np.stack([M.n * M.u, M.n * (th + M.u * M.u), M.n * M.u * (M.u * M.u + 3.0 * th)], axis=-1)
 
 
-def max_signal_speed(U: np.ndarray, mass_ratio: float) -> float:
-    M = moments_from_conserved(U, mass_ratio)
+def max_signal_speed(U: np.ndarray, mass_ratio: float, where: str = "") -> float:
+    M = moments_from_conserved(U, mass_ratio, where=where)
     return float(np.max(np.abs(M.u) + np.sqrt(3.0 * M.T / mass_ratio)))
 
 
@@ -119,7 +120,7 @@ def fv_step(
     divergence of <m(v) v g_kk>, or None for no kinetic coupling.
     """
     mr2 = p.mass_ratio2
-    smax = max(max_signal_speed(state.U1, 1.0), max_signal_speed(state.U2, mr2))
+    smax = max(max_signal_speed(state.U1, 1.0, "(species 1)"), max_signal_speed(state.U2, mr2, "(species 2)"))
     dt_max = cfl * state.dx / smax
     if dt > dt_max:
         raise CFLError(f"dt={dt} violates CFL: need dt <= {dt_max}")

@@ -129,7 +129,7 @@ def exchange_quantities(M1: SpeciesMoments, M2: SpeciesMoments, p: MixtureParams
 def maxwellian(M: SpeciesMoments, mass_ratio: float, v):
     """n sqrt(mr/(2 pi T)) exp(-mr |v-u|^2 / (2T)), broadcast over v."""
     T = np.asarray(M.T, dtype=float)
-    if np.any(T <= 0):
+    if not np.all(T > 0):
         raise ValueError("Maxwellian requires T > 0")
     th = T / mass_ratio
     return M.n / np.sqrt(2.0 * np.pi * th) * np.exp(-((v - M.u) ** 2) / (2.0 * th))

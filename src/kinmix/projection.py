@@ -30,7 +30,7 @@ class ProjectionCoeffs:
 def project_from_moments(Mk: SpeciesMoments, mass_ratio: float, phi_moments) -> ProjectionCoeffs:
     """Projection of any phi given its three moments against m(v)."""
     n = np.asarray(Mk.n, dtype=float)
-    if np.any(n <= 0):
+    if not np.all(n > 0):
         raise ValueError("projection undefined for n <= 0")
     a0, a1, a2 = phi_moments
     return ProjectionCoeffs(a0=a0, a1=a1, a2=a2, n=Mk.n, u=Mk.u, theta=Mk.theta(mass_ratio))

@@ -4,7 +4,7 @@ import pytest
 from kinmix.config import RunConfig
 from kinmix.driver import run, setup_simulation, step
 from kinmix.homogeneous import moment_ode_run
-from kinmix.macrofv import MacroState, conserved_from_moments, moments_from_conserved
+from kinmix.macrofv import MacroState, PositivityError, conserved_from_moments, moments_from_conserved
 from kinmix.model import MixtureParams, SpeciesMoments, validate_params
 from kinmix.particles import ParticleSet, cell_sums, init_particles
 from kinmix.grids import GridSpec
@@ -73,6 +73,28 @@ class TestMicroSource:
         got = src(xs, sample, 0.0)
         assert np.allclose(got, expected, atol=1e-10)
 
+    def test_shared_maxwellian_used_only_for_its_own_arrays(self):
+        # the cached cell Maxwellian belongs to one (x, v) pair; the same x
+        # with other velocities must be evaluated afresh
+        from kinmix.driver import _micro_source
+        from kinmix.particles import local_maxwellian, sort_by_cell
+
+        grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
+        xc = grid.x_centers
+        mk = SpeciesMoments(n=1.0 + 0.1 * np.cos(xc / 2), u=0.2 * np.sin(xc / 2), T=np.full(8, 1.1))
+        n_other = np.full(8, 1.2)
+        G = np.random.default_rng(8).normal(size=(4, grid.Nx)) * 0.01
+        p = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
+        rng = np.random.default_rng(9)
+        ps = ParticleSet(x=rng.uniform(0.0, grid.Lx, 500), v=rng.normal(size=500), w=np.zeros(500))
+        ps, cells = sort_by_cell(ps, grid)
+        shared = (ps.x, ps.v, cells, local_maxwellian(ps.v, cells, mk, 1.0))
+        cached, _ = _micro_source(1, grid, mk, n_other, mk.u + 0.1, mk.T + 0.2, p, G, True, shared)
+        fresh, _ = _micro_source(1, grid, mk, n_other, mk.u + 0.1, mk.T + 0.2, p, G, True)
+        assert np.array_equal(cached(ps.x, ps.v, 0.0), fresh(ps.x, ps.v, 0.0))
+        other_v = ps.v + 0.5
+        assert np.array_equal(cached(ps.x, other_v, 0.0), fresh(ps.x, other_v, 0.0))
+
     def test_source_moments_equal_remainder_flux_gradient(self):
         # <m(v) S> must reduce to the gradients of the deposited <m v g>
         # rows: the complement terms and cross drive carry zero moments
@@ -125,6 +147,28 @@ class TestStep:
             sim, _ = step(sim, p, grid, cfg.dt)
             assert np.max(np.abs(cell_sums(sim.ps1, grid))) < 1e-12
             assert np.max(np.abs(cell_sums(sim.ps2, grid))) < 1e-12
+
+
+    @pytest.mark.parametrize("species", [1, 2])
+    def test_nan_state_raises_positivity_error_naming_species(self, species):
+        # NaN fails every comparison; the watchdog must still stop it at the
+        # step where it appears, not let it reach the sub-step count
+        grid = GridSpec(Nx=16, Nv=64)
+        p = validate_params(MixtureParams())
+        sim = equilibrium_state(grid, p)
+        U = sim.macro.U1 if species == 1 else sim.macro.U2
+        U[5, 2] = np.nan
+        for transport in (True, False):
+            with pytest.raises(PositivityError, match=rf"species {species}"):
+                step(sim, p, grid, dt=5e-3, transport=transport)
+
+    def test_sim_state_type_hints_resolve(self):
+        import typing
+
+        from kinmix.driver import SimState
+
+        hints = typing.get_type_hints(SimState)
+        assert hints["ps1"] is ParticleSet and hints["macro"] is MacroState
 
 
 class TestHomogeneousMode:

@@ -56,6 +56,15 @@ class TestMaxwellianFlux:
             maxwellian_flux(U, 1.0)
 
 
+class TestPositivity:
+    @pytest.mark.parametrize("col", [0, 2])
+    def test_nan_rejected_with_label(self, col):
+        U = conserved_from_moments(SpeciesMoments(n=np.ones(4), u=np.zeros(4), T=np.ones(4)), 1.0)
+        U[2, col] = np.nan
+        with pytest.raises(PositivityError, match=r"\(species 2\)"):
+            moments_from_conserved(U, 1.0, where="(species 2)")
+
+
 class TestRelaxationSource:
     def test_equal_state_equilibrium(self):
         Nx = 4

@@ -10,6 +10,7 @@ from kinmix.particles import (
     init_particles,
     match,
     push,
+    sort_by_cell,
     update_weights,
 )
 
@@ -148,6 +149,28 @@ class TestUpdateWeights:
         with pytest.raises(ValueError):
             update_weights(ps, lambda x, v, t: np.zeros_like(x), -1.0, 0.1, grid)
 
+    def test_nan_damping_rejected(self):
+        grid = GridSpec(Nx=4)
+        ps = init_particles(v4_remainder, grid, 10, seed=4)
+        lam = np.array([1.0, np.nan, 1.0, 1.0])
+        with pytest.raises(ValueError, match="damping rate"):
+            update_weights(ps, lambda x, v, t: np.zeros_like(x), lam, 0.1, grid)
+
+    def test_per_cell_rates_reach_their_particles(self):
+        # one rate per cell, set unsorted: each particle decays at its own cell's rate
+        grid = GridSpec(Nx=4)
+        ps = init_particles(v4_remainder, grid, 400, seed=5)
+        lam, dt = np.array([0.5, 1.0, 2.0, 4.0]), 0.3
+        out = update_weights(ps, lambda x, v, t: np.zeros_like(x), lam, dt, grid)
+        expected = ps.w * np.exp(-lam[grid.cell_index(ps.x)] * dt)
+        assert np.array_equal(out.w, expected)
+
+    def test_rates_must_be_per_cell_or_scalar(self):
+        grid = GridSpec(Nx=4)
+        ps = init_particles(v4_remainder, grid, 10, seed=4)
+        with pytest.raises(ValueError, match="per cell"):
+            update_weights(ps, lambda x, v, t: np.zeros_like(x), np.ones(10), 0.1, grid)
+
     def test_equilibrium_stays_zero(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(lambda x, v: np.zeros_like(x), grid, 500, seed=6)
@@ -201,6 +224,12 @@ class TestMatch:
         assert np.array_equal(out.w[:2], w[:2])  # untouched cell
         assert np.max(np.abs(cell_sums(out, grid)[:, 1])) < 1e-12
 
+    def test_nan_temperature_rejected(self):
+        grid, ps, _ = self.hand_case()
+        mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.array([np.nan]))
+        with pytest.raises(ValueError, match="T > 0"):
+            match(ps, grid, mk, 1.0)
+
     def test_degenerate_velocities_skipped(self):
         grid = GridSpec(Lx=1.0, Nx=1, Lv=4.0, Nv=8)
         ps = ParticleSet(x=np.full(4, 0.5), v=np.full(4, 0.3), w=np.ones(4))
@@ -246,3 +275,108 @@ class TestMatch:
         out, _ = match(ps, grid, mk, 1.0)
         after = deposit(out, grid)[3]
         assert not np.allclose(before, after, atol=1e-12)
+
+
+class TestSortedLayout:
+    """Sets in cell order and shuffled copies of them give the same answers."""
+
+    def mixed_set(self, Nx, seed=31):
+        # cell 1 and the last cell are empty, cell 2 holds one particle,
+        # cell 3 two, every other cell many
+        grid = GridSpec(Lx=float(Nx), Nx=Nx, Lv=8.0, Nv=16)
+        rng = np.random.default_rng(seed)
+        per_cell = [rng.integers(40, 80) for _ in range(Nx)]
+        per_cell[1], per_cell[2], per_cell[3], per_cell[-1] = 0, 1, 2, 0
+        x = np.concatenate([c + rng.uniform(0.0, 1.0, k) for c, k in enumerate(per_cell)])
+        v = rng.normal(0.3, 1.2, x.size)
+        w = rng.normal(size=x.size) * 0.05
+        return grid, sort_by_cell(ParticleSet(x=x, v=v, w=w), grid)[0]
+
+    def shuffled(self, ps, seed=7):
+        perm = np.random.default_rng(seed).permutation(ps.Np)
+        return ParticleSet(x=ps.x[perm], v=ps.v[perm], w=ps.w[perm], species=ps.species), perm
+
+    def set_for(self, Nx):
+        if Nx > 1:
+            return self.mixed_set(Nx)
+        grid = GridSpec(Lx=1.0, Nx=1, Lv=8.0, Nv=16)
+        return grid, init_particles(v4_remainder, grid, 3000, seed=3)
+
+    def test_sort_is_stable_and_skipped_when_sorted(self):
+        grid, ps = self.mixed_set(8)
+        idx = grid.cell_index(ps.x)
+        assert np.all(np.diff(idx) >= 0)
+        again, cells = sort_by_cell(ps, grid)
+        assert again is ps
+        assert cells.order is None and np.array_equal(cells.key, idx)
+        shuf, perm = self.shuffled(ps)
+        back, cells = sort_by_cell(shuf, grid)
+        # stable: within a cell the shuffled order is kept
+        order = np.argsort(grid.cell_index(shuf.x), kind="stable")
+        assert np.array_equal(back.w, shuf.w[order])
+        # the grouping describes the sorted set
+        assert cells.order is None and np.array_equal(cells.key, grid.cell_index(back.x))
+
+    def test_passed_grouping_gives_same_answers(self):
+        grid, ps = self.mixed_set(8)
+        ps, cells = sort_by_cell(self.shuffled(ps)[0], grid)
+        mk = SpeciesMoments(n=np.full(8, 1.1), u=np.full(8, 0.2), T=np.full(8, 1.3))
+        assert np.array_equal(deposit(ps, grid, cells=cells), deposit(ps, grid))
+        lam = np.linspace(0.0, 3.0, 8)
+        src = lambda x, v, t: np.cos(v)  # noqa: E731
+        got = update_weights(ps, src, lam, 0.1, grid, cells=cells)
+        assert np.array_equal(got.w, update_weights(ps, src, lam, 0.1, grid).w)
+        a, sk_a = match(ps, grid, mk, 1.0, idx=cells.key, cells=cells)
+        b, sk_b = match(ps, grid, mk, 1.0)
+        assert sk_a == sk_b and np.array_equal(a.w, b.w)
+
+    @pytest.mark.parametrize("Nx", [8, 1])
+    def test_deposit_and_cell_sums_order_free(self, Nx):
+        grid, ps = self.set_for(Nx)
+        shuf, _ = self.shuffled(ps)
+        # round-off scale of each per-cell sum: the same sums of |w v^j|
+        scale = deposit(ParticleSet(x=ps.x, v=np.abs(ps.v), w=np.abs(ps.w)), grid)
+        assert np.all(np.abs(deposit(shuf, grid) - deposit(ps, grid)) <= 1e-13 * scale)
+        sums_diff = np.abs(cell_sums(shuf, grid) - cell_sums(ps, grid))
+        assert np.all(sums_diff <= 1e-13 * scale[:3] * grid.dx)
+
+    def test_reductions_match_per_cell_oracle(self):
+        # empty cells read exactly zero; other cells equal a plain per-cell sum
+        grid, ps = self.mixed_set(8)
+        shuf, _ = self.shuffled(ps)
+        idx = grid.cell_index(shuf.x)
+        want = np.array([[np.sum(shuf.w[idx == c] * shuf.v[idx == c] ** j) for c in range(grid.Nx)] for j in range(3)])
+        got = cell_sums(shuf, grid)
+        assert np.all(got[:, [1, grid.Nx - 1]] == 0.0)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("Nx", [8, 1])
+    def test_match_order_free(self, Nx):
+        grid, ps = self.set_for(Nx)
+        mk = SpeciesMoments(n=np.full(Nx, 1.1), u=np.full(Nx, 0.2), T=np.full(Nx, 1.3))
+        shuf, perm = self.shuffled(ps)
+        a, skipped_a = match(ps, grid, mk, 1.0)
+        b, skipped_b = match(shuf, grid, mk, 1.0)
+        # cells holding one or two particles cannot be solved and are counted
+        assert skipped_a == skipped_b == (2 if Nx > 1 else 0)
+        assert np.array_equal(b.x, shuf.x) and np.array_equal(b.v, shuf.v)
+        # weight by weight, in each caller's own order
+        assert np.max(np.abs(b.w - a.w[perm])) <= 1e-13 * np.max(np.abs(ps.w))
+        solved = [c for c in range(Nx) if c not in (2, 3)] if Nx > 1 else [0]
+        assert np.max(np.abs(cell_sums(b, grid)[:, solved])) < 1e-12
+        if Nx > 1:
+            idx = grid.cell_index(shuf.x)
+            few = (idx == 2) | (idx == 3)
+            assert np.array_equal(b.w[few], shuf.w[few])
+
+    def test_step_leaves_particles_in_cell_order(self):
+        from kinmix.config import RunConfig
+        from kinmix.driver import setup_simulation, step
+
+        cfg = RunConfig(mode="general", Nx=16, Nv=32, Np1=3000, Np2=3000, seed=4,
+                        dt=1e-2, t_end=0.0, m1=1.0, m2=1.0, preset="cosine-perturbed", beta=0.1)
+        grid, p, sim = setup_simulation(cfg)
+        for _ in range(2):
+            sim, _ = step(sim, p, grid, cfg.dt)
+            for ps in (sim.ps1, sim.ps2):
+                assert np.all(np.diff(grid.cell_index(ps.x)) >= 0)
