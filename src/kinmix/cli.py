@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 
 def main(argv=None) -> int:
@@ -44,6 +45,7 @@ def main(argv=None) -> int:
 
     from .driver import run
 
+    t0 = time.perf_counter()
     try:
         result = run(cfg)
         os.makedirs(args.out, exist_ok=True)
@@ -53,7 +55,10 @@ def main(argv=None) -> int:
     except Exception as e:  # CLI boundary: report and exit nonzero
         print(f"error: run failed: {e}", file=sys.stderr)
         return 1
-    print(f"wrote {len(result.times)} outputs to {args.out}")
+    print(
+        f"wrote {len(result.times)} outputs to {args.out} in {time.perf_counter() - t0:.2f} s wall; "
+        f"skipped cells: {result.skipped_cells_total}"
+    )
     return 0
 
 

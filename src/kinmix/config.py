@@ -8,8 +8,10 @@ the model validator.  Outputs are plain CSV written atomically
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,14 +123,35 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+_REAL_FIELDS = (
+    "Lx", "Lv", "dt", "t_end", "m1", "m2", "delta", "alpha", "gamma", "nu12",
+    "eps1", "epst1", "eps2", "epst2", "beta", "T1", "T2",
+)
+
+
+def _is_finite_number(val) -> bool:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _validate_fields(cfg: RunConfig) -> None:
-    numeric = {
-        "Lx": (0.0, None), "Lv": (0.0, None), "dt": (0.0, None), "t_end": (0.0, None),
-    }
-    for name, (lo, _hi) in numeric.items():
+    for name in _REAL_FIELDS:
         val = getattr(cfg, name)
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > lo:
-            raise ConfigError(f"field '{name}' must be a number > {lo}, got {val!r}")
+        if not (_is_finite_number(val) or (val is None and name in ("T1", "T2"))):
+            raise ConfigError(f"field '{name}' must be a finite number, got {val!r}")
+    for name in ("Lx", "Lv", "dt", "t_end"):
+        val = getattr(cfg, name)
+        if not val > 0:
+            raise ConfigError(f"field '{name}' must be a number > 0, got {val!r}")
+    steps = cfg.t_end / cfg.dt
+    if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ConfigError(
+            f"field 't_end' must be a whole number (>= 1) of dt steps, got t_end={cfg.t_end!r}, dt={cfg.dt!r}"
+        )
     for name in ("Nx", "Nv", "Np1", "Np2", "output_every"):
         val = getattr(cfg, name)
         if isinstance(val, bool) or not isinstance(val, int) or val < 1:
@@ -225,13 +248,15 @@ def build_initial_condition(cfg: RunConfig, p: MixtureParams) -> InitialConditio
 # --------------------------------------------------------------------------
 # output files
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a temp file beside `path`, then rename it over
+    `path`; on any failure the temp file is removed and `path` is untouched."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -246,22 +271,31 @@ def _fmt(x: float) -> str:
 def write_timeseries(path: str, result) -> None:
     """Time-series CSV: t plus the run's diagnostic columns, 17 digits."""
     cols = ["t"] + list(result.series.keys())
-    lines = [",".join(cols)]
+    lines = [",".join(cols) + "\n"]
     for i, t in enumerate(result.times):
         row = [t] + [result.series[c][i] for c in cols[1:]]
-        lines.append(",".join(_fmt(float(val)) for val in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        lines.append(",".join(_fmt(float(val)) for val in row) + "\n")
+    _atomic_write(path, lines)
+
+
+def _snapshot_rows(xs: list[str], vs: list[str], f) -> Iterator[str]:
+    """The CSV text of one species, one chunk per x-row: x and v arrive
+    formatted, and each f value is formatted exactly once."""
+    yield "x,v,f\n"
+    for xi, row in zip(xs, np.asarray(f, dtype=float).tolist()):
+        yield "".join([f"{xi},{vj},{fj:.17g}\n" for vj, fj in zip(vs, row)])
 
 
 def write_snapshot(outdir: str, snapshot, index: int) -> list[str]:
-    """One CSV per species: columns x, v, f over the (x, v) grid."""
+    """One CSV per species: columns x, v, f over the (x, v) grid, streamed to
+    the file one x-row at a time."""
+    xs = [_fmt(x) for x in np.asarray(snapshot.x, dtype=float).tolist()]
+    vs = [_fmt(v) for v in np.asarray(snapshot.v, dtype=float).tolist()]
     written = []
     for tag, f in (("s1", snapshot.f1), ("s2", snapshot.f2)):
-        lines = ["x,v,f"]
-        for i, xi in enumerate(snapshot.x):
-            for j, vj in enumerate(snapshot.v):
-                lines.append(f"{_fmt(float(xi))},{_fmt(float(vj))},{_fmt(float(f[i, j]))}")
+        if np.shape(f) != (len(xs), len(vs)):
+            raise ValueError(f"snapshot f{tag[1]} has shape {np.shape(f)}, expected {(len(xs), len(vs))}")
         path = os.path.join(outdir, f"snapshot_{tag}_{index:04d}.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, _snapshot_rows(xs, vs, f))
         written.append(path)
     return written

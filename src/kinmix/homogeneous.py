@@ -115,7 +115,7 @@ def relative_entropy(f: np.ndarray, M: SpeciesMoments, mass_ratio: float, grid: 
     produce spurious infinities where f is still positive.
     """
     f = np.asarray(f, dtype=float)
-    if np.any(f < -1e-14):
+    if not np.all(f >= -1e-14):
         raise ValueError(f"negative distribution sample {f.min()} in relative_entropy")
     f = np.clip(f, 0.0, None)
     th = M.T / mass_ratio

@@ -99,7 +99,8 @@ def relaxation_source(U1: np.ndarray, U2: np.ndarray, p: MixtureParams):
 
 
 def relaxation_substeps(dt: float, U1: np.ndarray, U2: np.ndarray, p: MixtureParams) -> int:
-    """Sub-step count resolving the interspecies moment rates (rate*dt <= 1/2)."""
+    """Sub-step count resolving the interspecies moment rates: one step while
+    rate*dt <= 1, otherwise ceil(2*rate*dt) sub-steps (so each has rate*dt <= 1/2)."""
     r = p.nu12 * max(
         float(np.max(U2[..., 0])) / p.epst1, float(np.max(U1[..., 0])) / p.epst2
     )

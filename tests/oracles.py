@@ -1,9 +1,9 @@
-"""Independent quadrature oracles used across the tests.
+"""Independent quadrature oracles and reference implementations used across the tests.
 
 Deliberately kept free of package internals beyond the data types: every
-expected value here comes from trapezoid quadrature on a wide fine grid, so
-the closed forms in the package are checked against something they do not
-share code with.
+expected value here comes from trapezoid quadrature on a wide fine grid, or
+from a plain per-element loop, so the package is checked against something it
+does not share code with.
 """
 import numpy as np
 
@@ -30,3 +30,13 @@ def nuT(fv, v, w, mass_ratio=1.0):
 
 def gaussian(n, u, theta, v):
     return n / np.sqrt(2 * np.pi * theta) * np.exp(-((v - u) ** 2) / (2 * theta))
+
+
+def snapshot_csv_text(x, v, f):
+    """Reference for one species' snapshot CSV: the per-element loop over the
+    (x, v) grid, every value through float() and 17 significant digits."""
+    lines = ["x,v,f"]
+    for i, xi in enumerate(x):
+        for j, vj in enumerate(v):
+            lines.append(f"{float(xi):.17g},{float(vj):.17g},{float(f[i, j]):.17g}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +18,11 @@ from kinmix.config import (
     write_snapshot,
     write_timeseries,
 )
-from kinmix.driver import run
+from kinmix.driver import Snapshot, run
+from kinmix.grids import GridSpec
 from kinmix.model import ParameterError, SpeciesMoments, maxwellian
 
-from oracles import nuT, vgrid
+from oracles import nuT, snapshot_csv_text, vgrid
 
 BASE = {
     "mode": "general",
@@ -86,6 +89,29 @@ class TestParseConfig:
     def test_nonpositive_dt(self):
         with pytest.raises(ConfigError, match="dt"):
             parse_config(cfg_text(time={"dt": 0.0, "t_end": 0.1}))
+
+    @pytest.mark.parametrize("block,key", [
+        ("domain", "Lx"), ("time", "dt"), ("mixture", "m2"), ("mixture", "nu12"), ("init", "beta"), ("init", "T1"),
+    ])
+    def test_non_finite_field_rejected(self, block, key):
+        # JSON `Infinity` parses to float inf; NaN and -inf take the same path
+        with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
+            parse_config(cfg_text(**{block: {key: float("inf")}}))
+        with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
+            parse_config(cfg_text(**{block: {key: float("nan")}}))
+
+    def test_t_end_below_one_step_rejected(self):
+        with pytest.raises(ConfigError, match="t_end"):
+            parse_config(cfg_text(time={"dt": 0.01, "t_end": 0.004}))
+
+    def test_t_end_not_a_multiple_of_dt_rejected(self):
+        # round(0.05 / 0.03) = 2 steps would silently end the run at t = 0.06
+        with pytest.raises(ConfigError, match="t_end"):
+            parse_config(cfg_text(time={"dt": 0.03, "t_end": 0.05}))
+
+    def test_t_end_multiple_up_to_rounding_accepted(self):
+        # 0.03 / 1e-3 = 29.999999999999996 in floating point
+        assert parse_config(cfg_text(time={"dt": 1e-3, "t_end": 0.03})).t_end == 0.03
 
     def test_roundtrip_identity(self):
         cfg = parse_config(cfg_text(
@@ -207,6 +233,65 @@ class TestOutputs:
         assert len(body) == 1 + 8 * 32
 
 
+class TestSnapshotWriter:
+    def assert_matches_reference(self, outdir, snap, index=0):
+        files = write_snapshot(str(outdir), snap, index)
+        assert [os.path.basename(p) for p in files] == [
+            f"snapshot_s1_{index:04d}.csv", f"snapshot_s2_{index:04d}.csv"]
+        for path, f in zip(files, (snap.f1, snap.f2)):
+            with open(path, "rb") as fh:
+                assert fh.read() == snapshot_csv_text(snap.x, snap.v, f).encode()
+
+    def synthetic(self, Nx, Nv):
+        rng = np.random.default_rng(3)
+        f1 = rng.standard_normal((Nx, Nv)) * 10.0 ** rng.integers(-300, 300, (Nx, Nv))
+        specials = [-0.0, 5e-324, 1e300, -2.5, np.nan, np.inf, -np.inf]
+        f1.flat[: len(specials)] = specials[: f1.size]
+        return Snapshot(t=0.0, x=np.linspace(-1.0, np.pi, Nx), v=np.linspace(-7.3, 7.3, Nv),
+                        f1=f1, f2=rng.random((Nx, Nv)) / 3.0)
+
+    def test_general_run_snapshots_match_reference(self, tmp_path):
+        cfg = RunConfig(mode="general", Nx=8, Nv=16, Np1=500, Np2=500, seed=5, dt=1e-2, t_end=0.02,
+                        m1=1.0, m2=1.0, preset="cosine-perturbed", beta=0.1)
+        res = run(cfg)
+        assert len(res.snapshots) == 3
+        for i, snap in enumerate(res.snapshots):
+            self.assert_matches_reference(tmp_path, snap, i)
+
+    def test_reference_run_snapshot_matches_reference(self, tmp_path):
+        cfg = RunConfig(mode="reference", Nx=8, Nv=16, dt=1e-2, t_end=0.02, m1=1.0, m2=1.5,
+                        preset="cosine-perturbed", beta=0.1)
+        snap = run(cfg).snapshots[-1]
+        assert np.array_equal(snap.v, GridSpec(Lx=cfg.Lx, Nx=8, Lv=cfg.Lv, Nv=16).v_nodes)
+        self.assert_matches_reference(tmp_path, snap, 7)
+
+    @pytest.mark.parametrize("Nx,Nv", [(3, 5), (1, 9), (4, 2)])
+    def test_synthetic_grid_matches_reference(self, tmp_path, Nx, Nv):
+        self.assert_matches_reference(tmp_path, self.synthetic(Nx, Nv))
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        snap = self.synthetic(3, 5)
+        snap.f2 = snap.f2[:, :4]
+        with pytest.raises(ValueError, match="shape"):
+            write_snapshot(str(tmp_path), snap, 0)
+
+    def test_failed_rename_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "snapshot_s1_0000.csv"
+        target.write_text("previous\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_snapshot(str(tmp_path), self.synthetic(3, 5), 0)
+        with pytest.raises(OSError, match="rename refused"):
+            write_timeseries(str(tmp_path / "timeseries.csv"),
+                             SimpleNamespace(times=np.array([0.0]), series={"gap_u_inf": np.array([1.0])}))
+        assert target.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot_s1_0000.csv"]
+
+
 class TestCLI:
     def test_presets_command(self, capsys):
         assert cli_main(["presets"]) == 0
@@ -214,7 +299,7 @@ class TestCLI:
         for name in PRESETS:
             assert name in out
 
-    def test_run_end_to_end(self, tmp_path):
+    def test_run_end_to_end(self, tmp_path, capsys):
         doc = {
             "mode": "general",
             "domain": {"Nx": 8, "Nv": 16},
@@ -231,6 +316,10 @@ class TestCLI:
         assert (out_dir / "timeseries.csv").exists()
         assert (out_dir / "snapshot_s1_0000.csv").exists()
         assert (out_dir / "snapshot_s2_0002.csv").exists()
+        assert sorted(os.listdir(out_dir)) == sorted(
+            ["timeseries.csv"] + [f"snapshot_s{k}_{i:04d}.csv" for k in (1, 2) for i in range(3)])
+        out = capsys.readouterr().out
+        assert re.fullmatch(rf"wrote 3 outputs to {re.escape(str(out_dir))} in \d+\.\d\d s wall; skipped cells: 0\n", out)
 
     def test_run_seed_override_changes_output(self, tmp_path):
         doc = {

@@ -179,6 +179,14 @@ class TestRelativeEntropy:
         with pytest.raises(ValueError, match="negative"):
             relative_entropy(f, SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0, grid)
 
+    def test_nan_sample_rejected(self):
+        grid = self.grid()
+        m = SpeciesMoments(n=1.0, u=0.0, T=1.0)
+        f = maxwellian(m, 1.0, grid.v_nodes)
+        f[3] = np.nan
+        with pytest.raises(ValueError, match="negative"):
+            relative_entropy(f, m, 1.0, grid)
+
     def test_tiny_negatives_clipped(self):
         grid = self.grid()
         m = SpeciesMoments(n=1.0, u=0.0, T=1.0)
