@@ -28,7 +28,6 @@ from .model import (
     ParameterError,
     SpeciesMoments,
     exchange_quantities,
-    equilibrium_moment_vector,
     maxwellian,
     validate_params,
 )

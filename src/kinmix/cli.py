@@ -5,6 +5,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 
 def main(argv=None) -> int:
@@ -20,7 +21,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    from .config import PRESETS, ConfigError, parse_config, write_snapshot, write_timeseries
+    from .config import PRESETS, ConfigError, config_to_json, parse_config, write_snapshot, write_timeseries
     from .model import ParameterError
 
     if args.command == "presets":
@@ -31,17 +32,14 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
+        if args.seed is not None:  # the override goes through the same checks
+            cfg = parse_config(config_to_json(replace(cfg, seed=args.seed)))
     except OSError as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 1
     except (ConfigError, ParameterError) as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return 1
-
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
 
     from .driver import run
 

@@ -119,7 +119,18 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(**values)
     _validate_fields(cfg)
-    mixture_params(cfg)  # physics validation; raises ParameterError naming the bound
+    p = mixture_params(cfg)  # physics validation; raises ParameterError naming the bound
+    # every species and interaction Maxwellian a run starts from has velocity
+    # variance >= min(T1, T2) / max(1, m2/m1); one narrower than half a velocity
+    # node turns the reference solver's discrete Maxwellians singular
+    ic = build_initial_condition(cfg, p)
+    T = min(ic.moments1(np.zeros(1)).T[0], ic.moments2(np.zeros(1)).T[0])
+    sigma, dv = math.sqrt(T / max(1.0, p.mass_ratio2)), cfg.Lv / (cfg.Nv - 1)
+    if not sigma >= 0.5 * dv:
+        raise ConfigError(
+            f"thermal speed sqrt(min(T1, T2) / max(1, m2/m1)) = {sigma:.3g} is below half the velocity "
+            f"node spacing Lv/(Nv-1) = {dv:.3g}: raise Nv, T1 or T2"
+        )
     return cfg
 
 
@@ -143,21 +154,19 @@ def _validate_fields(cfg: RunConfig) -> None:
         val = getattr(cfg, name)
         if not (_is_finite_number(val) or (val is None and name in ("T1", "T2"))):
             raise ConfigError(f"field '{name}' must be a finite number, got {val!r}")
-    for name in ("Lx", "Lv", "dt", "t_end"):
+    for name in ("Lx", "Lv", "dt", "t_end", "T1", "T2"):
         val = getattr(cfg, name)
-        if not val > 0:
+        if val is not None and not val > 0:
             raise ConfigError(f"field '{name}' must be a number > 0, got {val!r}")
     steps = cfg.t_end / cfg.dt
     if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ConfigError(
             f"field 't_end' must be a whole number (>= 1) of dt steps, got t_end={cfg.t_end!r}, dt={cfg.dt!r}"
         )
-    for name in ("Nx", "Nv", "Np1", "Np2", "output_every"):
+    for name, low in (("Nx", 1), ("Nv", 2), ("Np1", 1), ("Np2", 1), ("output_every", 1), ("seed", 0)):
         val = getattr(cfg, name)
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise ConfigError(f"field '{name}' must be a positive integer, got {val!r}")
-    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):
-        raise ConfigError(f"field 'seed' must be an integer, got {cfg.seed!r}")
+        if isinstance(val, bool) or not isinstance(val, int) or val < low:
+            raise ConfigError(f"field '{name}' must be an integer >= {low}, got {val!r}")
     if cfg.preset not in PRESETS:
         raise ConfigError(f"init.preset must be one of {sorted(PRESETS)}, got '{cfg.preset}'")
     if cfg.mode == "homogeneous":
@@ -165,6 +174,9 @@ def _validate_fields(cfg: RunConfig) -> None:
             raise ConfigError("domain.Nx must be 1 in homogeneous mode")
         if cfg.preset == "cosine-perturbed":
             raise ConfigError("init.preset 'cosine-perturbed' is spatially dependent; not valid in homogeneous mode")
+    if cfg.preset == "cosine-perturbed" and not abs(cfg.beta) < 1:
+        # the species-2 density 1 + beta cos(x/2) must stay positive
+        raise ConfigError(f"field 'beta' must have |beta| < 1 for the cosine-perturbed preset, got {cfg.beta!r}")
     if cfg.T1 is not None and cfg.preset != "maxwellian-maxwellian":
         raise ConfigError("init.T1 override only applies to the maxwellian-maxwellian preset")
     if cfg.T2 is not None and cfg.preset == "cosine-perturbed":

@@ -1,4 +1,8 @@
-"""Micro-macro time stepping and full runs.
+"""Micro-macro time stepping, and the one run loop of every mode.
+
+`run` sets up the configured state, steps it (the micro-macro `step`, or
+`reference.dvm_step` in reference mode) and records the time series and
+snapshots at one cadence.
 
 One step, in this fixed order: push particles and sort them back into cell
 order, deposit and differentiate the kinetic moments, advance the macro
@@ -179,8 +183,6 @@ def step(
     grid: GridSpec,
     dt: float,
     transport: bool = True,
-    cfl: float = 0.5,
-    substep_source: bool = True,
 ):
     """Advance the coupled system by dt; returns (new SimState, diagnostics)."""
     mr2 = p.mass_ratio2
@@ -193,7 +195,7 @@ def step(
         G2 = deposit(ps2, grid, cells=cells2)
         pdiv1 = np.stack([_centered_dx(G1[j], grid.dx) for j in (1, 2, 3)], axis=-1)
         pdiv2 = np.stack([_centered_dx(G2[j], grid.dx) for j in (1, 2, 3)], axis=-1)
-        macro = fv_step(sim.macro, (pdiv1, pdiv2), p, dt, cfl=cfl, substep_source=substep_source)
+        macro = fv_step(sim.macro, (pdiv1, pdiv2), p, dt)
     else:
         # space-homogeneous: macro moments follow the relaxation ODEs (RK4),
         # densities constant; no kinetic flux feeds back
@@ -248,10 +250,15 @@ class RunResult:
 
 
 def setup_simulation(cfg: RunConfig):
-    """Build (grid, params, SimState) from a validated configuration."""
+    """Build (grid, params, state) from a validated configuration: the state
+    is a SimState, or in reference mode the sampled GridDistribution."""
     grid = GridSpec(Lx=cfg.Lx, Nx=cfg.Nx, Lv=cfg.Lv, Nv=cfg.Nv)
     p = mixture_params(cfg)
     ic = build_initial_condition(cfg, p)
+    if cfg.mode == "reference":
+        X = grid.x_centers[:, None]
+        V = grid.v_nodes[None, :]
+        return grid, p, reference.GridDistribution(f1=ic.f1(X, V), f2=ic.f2(X, V), grid=grid)
     xc = grid.x_centers
     mom1 = ic.moments1(xc)
     mom2 = ic.moments2(xc)
@@ -304,73 +311,76 @@ def _entropy_diagnostic(sim: SimState, p: MixtureParams, grid: GridSpec) -> floa
 
 
 def run(cfg: RunConfig) -> RunResult:
-    """Run the configured simulation and collect time series + snapshots."""
-    if cfg.mode == "reference":
-        return _run_reference(cfg)
-    return _run_micromacro(cfg)
+    """Run the configured simulation and collect time series + snapshots.
 
-
-def _run_micromacro(cfg: RunConfig) -> RunResult:
-    grid, p, sim = setup_simulation(cfg)
-    transport = cfg.mode == "general"
-    mr2 = p.mass_ratio2
+    The reference mode steps the discrete-velocity solver and records its
+    grid moments and f itself; the micro-macro modes step `step` and record
+    the macro moments, the summed |weights| and the reconstructed f, and the
+    homogeneous mode adds the closed-form decay laws and the entropy."""
+    grid, p, state = setup_simulation(cfg)
+    kinetic = cfg.mode == "reference"
+    homogeneous = cfg.mode == "homogeneous"
+    mr2, dx = p.mass_ratio2, grid.dx
     nsteps = int(round(cfg.t_end / cfg.dt))
 
-    m1_0 = moments_from_conserved(sim.macro.U1, 1.0)
-    m2_0 = moments_from_conserved(sim.macro.U2, mr2)
-    init = (
-        float(np.mean(m1_0.u)), float(np.mean(m2_0.u)),
-        float(np.mean(m1_0.T)), float(np.mean(m2_0.T)),
-        float(np.mean(m1_0.n)), float(np.mean(m2_0.n)),
-    )
+    if homogeneous:
+        m1_0 = moments_from_conserved(state.macro.U1, 1.0)
+        m2_0 = moments_from_conserved(state.macro.U2, mr2)
+        u1, u2, T1, T2, n1, n2 = (float(np.mean(a)) for a in (m1_0.u, m2_0.u, m1_0.T, m2_0.T, m1_0.n, m2_0.n))
 
-    series: dict[str, list] = {k: [] for k in (
-        "gap_u_inf", "gap_T_inf", "gap_u_sq",
-        "mass1", "mass2", "momentum", "energy",
-        "sum_abs_w1", "sum_abs_w2",
-    )}
-    if not transport:
-        series["analytic_gap_u_sq"] = []
-        series["analytic_gap_T"] = []
-        series["entropy"] = []
+    series: dict[str, list] = {}  # columns in the order the first record adds them
     times: list[float] = []
     snapshots: list[Snapshot] = []
     skipped = 0
 
-    def record(s: SimState):
-        m1 = moments_from_conserved(s.macro.U1, 1.0)
-        m2 = moments_from_conserved(s.macro.U2, mr2)
-        dx = grid.dx
+    def record(s):
+        if kinetic:
+            m1 = reference.cellwise_moments(s.f1, grid, 1.0)
+            m2 = reference.cellwise_moments(s.f2, grid, mr2)
+            wq, v = grid.v_weights, grid.v_nodes
+            momentum = (s.f1 + mr2 * s.f2) @ (wq * v)
+            energy = (s.f1 + mr2 * s.f2) @ (wq * v * v)
+            f1, f2 = s.f1.copy(), s.f2.copy()
+        else:
+            m1 = moments_from_conserved(s.macro.U1, 1.0)
+            m2 = moments_from_conserved(s.macro.U2, mr2)
+            momentum = s.macro.U1[:, 1] + mr2 * s.macro.U2[:, 1]
+            energy = s.macro.U1[:, 2] + mr2 * s.macro.U2[:, 2]
+            v = grid.v_bin_centers
+            f1, f2 = _reconstruct_f(s, p, grid)
+        row = {
+            "gap_u_inf": np.max(np.abs(m1.u - m2.u)),
+            "gap_T_inf": np.max(np.abs(m1.T - m2.T)),
+            "gap_u_sq": np.max((m1.u - m2.u) ** 2),
+            "mass1": np.sum(m1.n) * dx,
+            "mass2": np.sum(m2.n) * dx,
+            "momentum": np.sum(momentum) * dx,
+            "energy": np.sum(energy) * dx,
+        }
+        if not kinetic:
+            row["sum_abs_w1"] = np.sum(np.abs(s.ps1.w))
+            row["sum_abs_w2"] = np.sum(np.abs(s.ps2.w))
+        if homogeneous:
+            row["analytic_gap_u_sq"] = analytic_velocity_gap(s.t, u1, u2, p, n1, n2)
+            row["analytic_gap_T"] = analytic_temperature_gap(s.t, u1, u2, T1, T2, p, n1, n2)
+            row["entropy"] = _entropy_diagnostic(s, p, grid)
         times.append(s.t)
-        series["gap_u_inf"].append(float(np.max(np.abs(m1.u - m2.u))))
-        series["gap_T_inf"].append(float(np.max(np.abs(m1.T - m2.T))))
-        series["gap_u_sq"].append(float(np.max((m1.u - m2.u) ** 2)))
-        series["mass1"].append(float(np.sum(m1.n) * dx))
-        series["mass2"].append(float(np.sum(m2.n) * dx))
-        series["momentum"].append(float(np.sum(s.macro.U1[:, 1] + mr2 * s.macro.U2[:, 1]) * dx))
-        series["energy"].append(float(np.sum(s.macro.U1[:, 2] + mr2 * s.macro.U2[:, 2]) * dx))
-        series["sum_abs_w1"].append(float(np.sum(np.abs(s.ps1.w))))
-        series["sum_abs_w2"].append(float(np.sum(np.abs(s.ps2.w))))
-        if not transport:
-            series["analytic_gap_u_sq"].append(
-                float(analytic_velocity_gap(s.t, init[0], init[1], p, init[4], init[5]))
-            )
-            series["analytic_gap_T"].append(
-                float(analytic_temperature_gap(s.t, init[0], init[1], init[2], init[3], p, init[4], init[5]))
-            )
-            series["entropy"].append(_entropy_diagnostic(s, p, grid))
-        f1, f2 = _reconstruct_f(s, p, grid)
-        snapshots.append(Snapshot(t=s.t, x=grid.x_centers, v=grid.v_bin_centers, f1=f1, f2=f2))
+        for key, val in row.items():
+            series.setdefault(key, []).append(float(val))
+        snapshots.append(Snapshot(t=s.t, x=grid.x_centers, v=v, f1=f1, f2=f2))
 
-    record(sim)
+    record(state)
     for k in range(nsteps):
         try:
-            sim, diag = step(sim, p, grid, cfg.dt, transport=transport)
+            if kinetic:
+                state = reference.dvm_step(state, p, cfg.dt)
+            else:
+                state, diag = step(state, p, grid, cfg.dt, transport=cfg.mode == "general")
+                skipped += diag.skipped_cells
         except Exception as e:
-            raise RuntimeError(f"run aborted at step {k + 1}/{nsteps} (t={sim.t:.6g}): {e}") from e
-        skipped += diag.skipped_cells
+            raise RuntimeError(f"run aborted at step {k + 1}/{nsteps} (t={state.t:.6g}): {e}") from e
         if (k + 1) % cfg.output_every == 0 or k == nsteps - 1:
-            record(sim)
+            record(state)
 
     return RunResult(
         mode=cfg.mode,
@@ -379,57 +389,6 @@ def _run_micromacro(cfg: RunConfig) -> RunResult:
         snapshots=snapshots,
         grid=grid,
         params=p,
-        final_state=sim,
-        skipped_cells_total=skipped,
-    )
-
-
-def _run_reference(cfg: RunConfig) -> RunResult:
-    grid = GridSpec(Lx=cfg.Lx, Nx=cfg.Nx, Lv=cfg.Lv, Nv=cfg.Nv)
-    p = mixture_params(cfg)
-    ic = build_initial_condition(cfg, p)
-    mr2 = p.mass_ratio2
-    X = grid.x_centers[:, None]
-    V = grid.v_nodes[None, :]
-    state = reference.GridDistribution(f1=ic.f1(X, V), f2=ic.f2(X, V), grid=grid)
-
-    nsteps = int(round(cfg.t_end / cfg.dt))
-    series: dict[str, list] = {k: [] for k in (
-        "gap_u_inf", "gap_T_inf", "gap_u_sq", "mass1", "mass2", "momentum", "energy",
-    )}
-    times: list[float] = []
-    snapshots: list[Snapshot] = []
-
-    def record(st: reference.GridDistribution):
-        m1 = reference.cellwise_moments(st.f1, grid, 1.0)
-        m2 = reference.cellwise_moments(st.f2, grid, mr2)
-        wq, v = grid.v_weights, grid.v_nodes
-        dx = grid.dx
-        times.append(st.t)
-        series["gap_u_inf"].append(float(np.max(np.abs(m1.u - m2.u))))
-        series["gap_T_inf"].append(float(np.max(np.abs(m1.T - m2.T))))
-        series["gap_u_sq"].append(float(np.max((m1.u - m2.u) ** 2)))
-        series["mass1"].append(float(np.sum(m1.n) * dx))
-        series["mass2"].append(float(np.sum(m2.n) * dx))
-        series["momentum"].append(float(np.sum((st.f1 + mr2 * st.f2) @ (wq * v)) * dx))
-        series["energy"].append(float(np.sum((st.f1 + mr2 * st.f2) @ (wq * v * v)) * dx))
-        snapshots.append(Snapshot(t=st.t, x=grid.x_centers, v=grid.v_nodes, f1=st.f1.copy(), f2=st.f2.copy()))
-
-    record(state)
-    for k in range(nsteps):
-        try:
-            state = reference.dvm_step(state, p, cfg.dt)
-        except Exception as e:
-            raise RuntimeError(f"run aborted at step {k + 1}/{nsteps} (t={state.t:.6g}): {e}") from e
-        if (k + 1) % cfg.output_every == 0 or k == nsteps - 1:
-            record(state)
-
-    return RunResult(
-        mode="reference",
-        times=np.array(times),
-        series={k: np.array(val) for k, val in series.items()},
-        snapshots=snapshots,
-        grid=grid,
-        params=p,
         final_state=state,
+        skipped_cells_total=skipped,
     )

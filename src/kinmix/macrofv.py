@@ -1,9 +1,12 @@
-"""Finite-volume solver for the macroscopic (Maxwellian) part.
+"""Finite-volume solver for the macroscopic (Maxwellian) part, and the one
+interspecies exchange law every solver in the package uses.
 
 Conserved vectors per cell are U_k = (n_k, n_k u_k, <v^2 f_k>).  Transport is
-Rusanov + forward Euler, interspecies relaxation enters as a moment-level
-source; the source is sub-stepped when dt does not resolve the interspecies
-rate.  Periodic boundaries throughout.
+Rusanov + forward Euler at CFL number 1/2; interspecies relaxation enters as a
+moment-level source built from `exchange_increment`, sub-stepped by
+`relaxation_substeps` (the rule the reference and homogeneous solvers share)
+when dt does not resolve the interspecies rate.  Periodic boundaries
+throughout.
 """
 from __future__ import annotations
 
@@ -60,51 +63,51 @@ def maxwellian_flux(U: np.ndarray, mass_ratio: float) -> np.ndarray:
     return np.stack([M.n * M.u, M.n * (th + M.u * M.u), M.n * M.u * (M.u * M.u + 3.0 * th)], axis=-1)
 
 
-def max_signal_speed(U: np.ndarray, mass_ratio: float, where: str = "") -> float:
+def signal_speed(U: np.ndarray, mass_ratio: float, where: str = "") -> np.ndarray:
+    """Per-cell wave-speed bound |u| + sqrt(3 T/mr) of the Maxwellian flux."""
     M = moments_from_conserved(U, mass_ratio, where=where)
-    return float(np.max(np.abs(M.u) + np.sqrt(3.0 * M.T / mass_ratio)))
+    return np.abs(M.u) + np.sqrt(3.0 * M.T / mass_ratio)
 
 
 def numerical_flux(U_left: np.ndarray, U_right: np.ndarray, mass_ratio: float) -> np.ndarray:
     """Rusanov (local Lax-Friedrichs) interface flux."""
     FL = maxwellian_flux(U_left, mass_ratio)
     FR = maxwellian_flux(U_right, mass_ratio)
-    ML = moments_from_conserved(U_left, mass_ratio)
-    MR = moments_from_conserved(U_right, mass_ratio)
-    sL = np.abs(ML.u) + np.sqrt(3.0 * ML.T / mass_ratio)
-    sR = np.abs(MR.u) + np.sqrt(3.0 * MR.T / mass_ratio)
-    s = np.maximum(sL, sR)[..., None]
+    s = np.maximum(signal_speed(U_left, mass_ratio), signal_speed(U_right, mass_ratio))[..., None]
     return 0.5 * (FL + FR) - 0.5 * s * (U_right - U_left)
 
 
-def relaxation_source(U1: np.ndarray, U2: np.ndarray, p: MixtureParams):
-    """Moment-level interspecies sources (S1, S2).
-
-    S1 = nu12 n2/epst1 * (0, n1(u12-u1), n1(T12+u12^2-T1-u1^2)) and S2 with
-    the m1/m2 temperature scaling; their mass rows vanish identically and
-    the momentum/energy rows cancel under the m2/m1 weighting.
-    """
+def exchange_increment(m1: SpeciesMoments, m2: SpeciesMoments, p: MixtureParams):
+    """d/dt of (n1 u1, E1, n2 u2, E2), E_k = n_k(theta_k + u_k^2), from
+    interspecies relaxation: nu12 n_j/epst_k times the moment gap between
+    the interaction Maxwellian M_kj and M_k.  The densities do not change,
+    and the momentum/energy rates cancel under the m2/m1 weighting."""
     mr2 = p.mass_ratio2
-    M1 = moments_from_conserved(U1, 1.0)
-    M2 = moments_from_conserved(U2, mr2)
-    ex = exchange_quantities(M1, M2, p)
-    z1 = np.zeros_like(np.asarray(M1.n, dtype=float))
-    S1 = (p.nu12 * M2.n / p.epst1)[..., None] * np.stack(
-        [z1, M1.n * (ex.u12 - M1.u), M1.n * (ex.T12 + ex.u12**2 - M1.T - M1.u**2)], axis=-1
+    ex = exchange_quantities(m1, m2, p)
+    b1 = p.nu12 * m2.n / p.epst1
+    b2 = p.nu12 * m1.n / p.epst2
+    return (
+        b1 * (m1.n * (ex.u12 - m1.u)),
+        b1 * (m1.n * (ex.T12 + ex.u12**2 - m1.T - m1.u**2)),
+        b2 * (m2.n * (ex.u21 - m2.u)),
+        b2 * (m2.n * ((ex.T21 - m2.T) / mr2 + ex.u21**2 - m2.u**2)),
     )
-    S2 = (p.nu12 * M1.n / p.epst2)[..., None] * np.stack(
-        [z1, M2.n * (ex.u21 - M2.u), M2.n * ((ex.T21 - M2.T) / mr2 + ex.u21**2 - M2.u**2)], axis=-1
-    )
-    return S1, S2
 
 
-def relaxation_substeps(dt: float, U1: np.ndarray, U2: np.ndarray, p: MixtureParams) -> int:
-    """Sub-step count resolving the interspecies moment rates: one step while
-    rate*dt <= 1, otherwise ceil(2*rate*dt) sub-steps (so each has rate*dt <= 1/2)."""
-    r = p.nu12 * max(
-        float(np.max(U2[..., 0])) / p.epst1, float(np.max(U1[..., 0])) / p.epst2
-    )
-    return 1 if dt * r <= 1.0 else int(np.ceil(2.0 * dt * r))
+def relaxation_source(U1: np.ndarray, U2: np.ndarray, p: MixtureParams):
+    """Moment-level interspecies sources (S1, S2): zero mass rows, then the
+    exchange increment of the momentum and energy rows."""
+    k = exchange_increment(moments_from_conserved(U1, 1.0), moments_from_conserved(U2, p.mass_ratio2), p)
+    z = np.zeros_like(k[0])
+    return np.stack([z, k[0], k[1]], axis=-1), np.stack([z, k[2], k[3]], axis=-1)
+
+
+def relaxation_substeps(dt: float, n1, n2, p: MixtureParams) -> int:
+    """Sub-step count resolving the interspecies moment rates of densities
+    n1, n2 (scalars or per-cell arrays): ceil(2*rate*dt), at least one, so
+    each sub-step has rate*dt <= 1/2."""
+    rate = p.nu12 * max(float(np.max(n2)) / p.epst1, float(np.max(n1)) / p.epst2)
+    return max(1, int(np.ceil(2.0 * dt * rate)))
 
 
 def fv_step(
@@ -112,8 +115,6 @@ def fv_step(
     particle_flux_div,
     p: MixtureParams,
     dt: float,
-    cfl: float = 0.5,
-    substep_source: bool = True,
 ) -> MacroState:
     """One forward-Euler macro step: transport + particle-flux coupling + relaxation.
 
@@ -121,8 +122,8 @@ def fv_step(
     divergence of <m(v) v g_kk>, or None for no kinetic coupling.
     """
     mr2 = p.mass_ratio2
-    smax = max(max_signal_speed(state.U1, 1.0, "(species 1)"), max_signal_speed(state.U2, mr2, "(species 2)"))
-    dt_max = cfl * state.dx / smax
+    smax = float(max(np.max(signal_speed(state.U1, 1.0, "(species 1)")), np.max(signal_speed(state.U2, mr2, "(species 2)"))))
+    dt_max = 0.5 * state.dx / smax
     if dt > dt_max:
         raise CFLError(f"dt={dt} violates CFL: need dt <= {dt_max}")
 
@@ -134,18 +135,13 @@ def fv_step(
         new.U1 -= dt * particle_flux_div[0]
         new.U2 -= dt * particle_flux_div[1]
 
-    nsub = relaxation_substeps(dt, state.U1, state.U2, p) if substep_source else 1
-    if nsub == 1:
-        # beginning-of-step source
-        S1, S2 = relaxation_source(state.U1, state.U2, p)
-        new.U1 += dt * S1
-        new.U2 += dt * S2
-    else:
-        h = dt / nsub
-        for _ in range(nsub):
-            S1, S2 = relaxation_source(new.U1, new.U2, p)
-            new.U1 += h * S1
-            new.U2 += h * S2
+    nsub = relaxation_substeps(dt, state.U1[:, 0], state.U2[:, 0], p)
+    h = dt / nsub
+    for _ in range(nsub):
+        # one step takes the beginning-of-step source, sub-steps the current state
+        S1, S2 = relaxation_source(*((state.U1, state.U2) if nsub == 1 else (new.U1, new.U2)), p)
+        new.U1 += h * S1
+        new.U2 += h * S2
 
     # positivity watchdog: fail loudly rather than clip
     moments_from_conserved(new.U1, 1.0, where="(species 1, after step)")

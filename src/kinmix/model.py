@@ -45,15 +45,6 @@ class MixtureParams:
     def mass_ratio2(self) -> float:
         return self.m2 / self.m1
 
-    # beta1/beta2 relate the intra frequencies back to nu12; reporting only
-    @property
-    def beta1(self) -> float:
-        return self.epst1 / self.eps1
-
-    @property
-    def beta2(self) -> float:
-        return self.epst2 / self.eps2
-
     def gamma_max(self) -> float:
         r = (self.m1 / self.m2) * self.eps
         return self.m1 * (1.0 - self.delta) * ((1.0 + r) * self.delta + 1.0 - r)
@@ -134,14 +125,3 @@ def maxwellian(M: SpeciesMoments, mass_ratio: float, v):
     th = T / mass_ratio
     return M.n / np.sqrt(2.0 * np.pi * th) * np.exp(-((v - M.u) ** 2) / (2.0 * th))
 
-
-def equilibrium_moment_vector(M: SpeciesMoments, mass_ratio: float):
-    """(n, n u, <v^2 M>) with <v^2 M> = n (T/mr + u^2)."""
-    th = M.T / mass_ratio
-    return M.n, M.n * M.u, M.n * (th + M.u * M.u)
-
-
-def maxwellian_v3_moment(M: SpeciesMoments, mass_ratio: float):
-    """Third raw moment <v^3 M> = n u (u^2 + 3 T/mr)."""
-    th = M.T / mass_ratio
-    return M.n * M.u * (M.u * M.u + 3.0 * th)

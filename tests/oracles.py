@@ -32,6 +32,27 @@ def gaussian(n, u, theta, v):
     return n / np.sqrt(2 * np.pi * theta) * np.exp(-((v - u) ** 2) / (2 * theta))
 
 
+def maxwellian_v3_moment(M, mass_ratio: float):
+    """Third raw moment <v^3 M> = n u (u^2 + 3 T/mr) of a species Maxwellian."""
+    th = M.T / mass_ratio
+    return M.n * M.u * (M.u * M.u + 3.0 * th)
+
+
+def beta1(p):
+    """epst1/eps1: the intra frequency of species 1 relative to nu12."""
+    return p.epst1 / p.eps1
+
+
+def beta2(p):
+    """epst2/eps2: the intra frequency of species 2 relative to nu12."""
+    return p.epst2 / p.eps2
+
+
+def min_value(state):
+    """Smallest sample of f1 and f2 of a discrete-velocity state."""
+    return float(min(state.f1.min(), state.f2.min()))
+
+
 def snapshot_csv_text(x, v, f):
     """Reference for one species' snapshot CSV: the per-element loop over the
     (x, v) grid, every value through float() and 17 significant digits."""

@@ -100,6 +100,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
             parse_config(cfg_text(**{block: {key: float("nan")}}))
 
+    @pytest.mark.parametrize("key", ["T1", "T2"])
+    @pytest.mark.parametrize("val", [0.0, -1.0])
+    def test_nonpositive_temperature_rejected(self, key, val):
+        # used to pass parsing and die at step 1 with a PositivityError
+        with pytest.raises(ConfigError, match=f"'{key}' must be a number > 0"):
+            parse_config(cfg_text(init={"preset": "maxwellian-maxwellian", key: val}))
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, -1.0])
+    def test_cosine_beta_outside_unit_interval_rejected(self, beta):
+        # 1 + beta cos(x/2) would reach zero or go negative
+        with pytest.raises(ConfigError, match="'beta' must have"):
+            parse_config(cfg_text(init={"preset": "cosine-perturbed", "beta": beta}))
+        # the other presets do not use beta
+        assert parse_config(cfg_text(init={"preset": "v4-maxwellian", "beta": beta})).beta == beta
+
+    def test_negative_seed_rejected(self):
+        # used to pass parsing and fail in numpy's SeedSequence
+        with pytest.raises(ConfigError, match="'seed' must be an integer >= 0"):
+            parse_config(cfg_text(particles={"seed": -1}))
+        assert parse_config(cfg_text(particles={"seed": 0})).seed == 0
+
+    def test_single_velocity_node_rejected(self):
+        # the velocity grid needs two nodes; GridSpec used to reject it at run time
+        with pytest.raises(ConfigError, match="'Nv' must be an integer >= 2"):
+            parse_config(cfg_text(domain={"Nv": 1}))
+
+    def test_unresolved_starting_maxwellian_rejected(self):
+        # m2/m1 = 15 and the default T2 = 0.1: thermal speed 0.082 against a
+        # node spacing of 0.317 used to pass and die at step 1 of a reference
+        # run with "Singular matrix"
+        doc = dict(mode="reference", mixture={"m1": 1.0, "m2": 15.0}, time={"dt": 1e-3, "t_end": 1e-3})
+        with pytest.raises(ConfigError, match=r"thermal speed .* Lv/\(Nv-1\) = 0.317: raise Nv, T1 or T2"):
+            parse_config(cfg_text(domain={"Nx": 4, "Nv": 64}, **doc))
+        res = run(parse_config(cfg_text(domain={"Nx": 4, "Nv": 512}, **doc)))
+        assert np.all(np.isfinite(res.series["gap_T_inf"]))
+
     def test_t_end_below_one_step_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             parse_config(cfg_text(time={"dt": 0.01, "t_end": 0.004}))
@@ -338,6 +374,14 @@ class TestCLI:
         assert cli_main(["run", str(cfg_path), "--out", str(a)]) == 0
         assert cli_main(["run", str(cfg_path), "--out", str(b), "--seed", "77"]) == 0
         assert (a / "timeseries.csv").read_text() != (b / "timeseries.csv").read_text()
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        # used to reach numpy's SeedSequence and fail there without naming the field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text())
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert "error: invalid config: field 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

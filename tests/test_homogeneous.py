@@ -6,7 +6,6 @@ from kinmix.homogeneous import (
     analytic_temperature_gap,
     analytic_velocity_gap,
     decay_constants,
-    grid_moments,
     kinetic_homogeneous_run,
     l1_gap,
     moment_ode_run,
@@ -14,6 +13,7 @@ from kinmix.homogeneous import (
     relative_entropy,
 )
 from kinmix.model import MixtureParams, SpeciesMoments, maxwellian, validate_params
+from kinmix.reference import cellwise_moments
 
 from oracles import gaussian
 
@@ -64,6 +64,13 @@ class TestMomentODE:
         gap = (u1[-1] - u2[-1]) ** 2
         expected = 0.16 * np.exp(-(112.0 / 3.0) * 0.1)
         assert gap == pytest.approx(expected, rel=1e-3)
+
+    def test_stiff_step_is_substepped(self):
+        # rate*dt = 24 * 0.5 = 12: a single RK4 step multiplies the temperature
+        # gap by 637; in sub-steps of rate*h <= 1/2 it follows the fine run
+        ts, u1, u2, T1, T2 = moment_ode_run(*INIT, P005, N1, N2, dt=1e-4, t_end=0.5, output_every=5000)
+        out = moment_ode_step(*INIT, P005, N1, N2, 0.5)
+        assert out == pytest.approx((u1[-1], u2[-1], T1[-1], T2[-1]), rel=1e-4, abs=1e-9)
 
     def test_delta_one_freezes_velocities(self):
         p = validate_params(MixtureParams(delta=1.0, gamma=0.0, eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05))
@@ -170,7 +177,7 @@ class TestRelativeEntropy:
         for _ in range(5):
             f = gaussian(1.0, rng.uniform(-1, 1), rng.uniform(0.3, 2), v) * (1 + 0.3 * np.cos(v))
             f = np.clip(f, 0.0, None)
-            m = grid_moments(f, grid, 1.0)
+            m = cellwise_moments(f, grid, 1.0)
             assert relative_entropy(f, m, 1.0, grid) >= -1e-12
 
     def test_negative_samples_rejected(self):
@@ -198,7 +205,7 @@ class TestRelativeEntropy:
         grid = self.grid()
         v = grid.v_nodes
         f1 = v4_profile(v)
-        m1 = grid_moments(f1, grid, 1.0)
+        m1 = cellwise_moments(f1, grid, 1.0)
         H0 = relative_entropy(f1, m1, 1.0, grid)
         assert H0 > 0.4
         f2 = maxwellian(SpeciesMoments(n=1.2, u=0.1, T=0.1), 1.5, v)

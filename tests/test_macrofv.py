@@ -11,6 +11,7 @@ from kinmix.macrofv import (
     moments_from_conserved,
     numerical_flux,
     relaxation_source,
+    relaxation_substeps,
 )
 from kinmix.model import MixtureParams, SpeciesMoments, maxwellian, validate_params
 
@@ -99,6 +100,22 @@ class TestRelaxationSource:
         assert np.max(np.abs(S2)) < 1e-14
 
 
+class TestRelaxationSubsteps:
+    # rate = nu12 * max(n2/epst1, n1/epst2) = 2 exactly for these values
+    P = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
+
+    def test_one_step_up_to_half_rate_time(self):
+        n = np.array([1.0, 0.5])
+        assert relaxation_substeps(0.25, n, n, self.P) == 1  # rate*dt = 0.5
+        assert relaxation_substeps(np.nextafter(0.25, 1.0), n, n, self.P) == 2
+        assert relaxation_substeps(1e-9, 1.0, 1.0, self.P) == 1
+
+    @pytest.mark.parametrize("dt", [0.375, 0.5, 0.55, 1.0, 3.3])
+    def test_ceil_of_twice_rate_time_beyond(self, dt):
+        # densities enter through their maxima, scalars or per cell
+        assert relaxation_substeps(dt, np.array([0.2, 1.0]), 1.0, self.P) == int(np.ceil(4.0 * dt))
+
+
 class TestNumericalFlux:
     def test_consistency(self):
         st = baseline_state()
@@ -142,15 +159,29 @@ class TestFvStep:
 
     def test_uniform_unequal_state_transport_cancels(self):
         # uniform in x: the update must equal the pure-source update
+        # (rate*dt = 0.024 here, so the source is applied in one step)
         st = baseline_state(Nx=8)
         p = P_005
         dt = 1e-3
         new = fv_step(st, None, p, dt=dt)
         S1, S2 = relaxation_source(st.U1, st.U2, p)
-        nsub_free = fv_step(st, None, p, dt=dt, substep_source=False)
-        assert np.allclose(nsub_free.U1, st.U1 + dt * S1, atol=1e-13)
-        assert np.allclose(nsub_free.U2, st.U2 + dt * S2, atol=1e-13)
+        assert np.allclose(new.U1, st.U1 + dt * S1, atol=1e-13)
+        assert np.allclose(new.U2, st.U2 + dt * S2, atol=1e-13)
         assert np.allclose(new.U1[:, 0], st.U1[:, 0], atol=1e-15)
+
+    def test_source_substepped_above_half_rate_time(self):
+        # rate*dt = 24 * 0.03125 = 0.75: two half-steps, each source taken at
+        # the state it advances (transport cancels on uniform data)
+        st = baseline_state(Nx=8)
+        dt = 0.75 / 24.0
+        new = fv_step(st, None, P_005, dt=dt)
+        U1, U2 = st.U1.copy(), st.U2.copy()
+        for _ in range(2):
+            S1, S2 = relaxation_source(U1, U2, P_005)
+            U1, U2 = U1 + 0.5 * dt * S1, U2 + 0.5 * dt * S2
+        assert np.allclose(new.U1, U1, rtol=1e-14, atol=0) and np.allclose(new.U2, U2, rtol=1e-14, atol=0)
+        S1, S2 = relaxation_source(st.U1, st.U2, P_005)
+        assert np.max(np.abs(new.U1 - (st.U1 + dt * S1))) > 1e-4  # not a single full step
 
     def test_mass_constant_any_step(self):
         st = baseline_state(Nx=16)

@@ -5,14 +5,13 @@ from kinmix.model import (
     MixtureParams,
     ParameterError,
     SpeciesMoments,
-    equilibrium_moment_vector,
     exchange_quantities,
     maxwellian,
-    maxwellian_v3_moment,
     validate_params,
 )
+from kinmix.macrofv import conserved_from_moments
 
-from oracles import gaussian, nuT, raw_moment, vgrid
+from oracles import beta1, beta2, gaussian, maxwellian_v3_moment, nuT, raw_moment, vgrid
 
 BASE_MIX = dict(m1=1.0, m2=1.5, delta=0.5, alpha=0.5, gamma=0.1)
 M1_REF = SpeciesMoments(n=1.0, u=0.5, T=1.0)
@@ -89,8 +88,8 @@ class TestValidateParams:
     def test_derived_ratios(self):
         p = params(eps1=0.5, epst1=1.0, eps2=0.25, epst2=0.75)
         assert p.eps == pytest.approx(0.75)
-        assert p.beta1 == pytest.approx(2.0)
-        assert p.beta2 == pytest.approx(3.0)
+        assert beta1(p) == pytest.approx(2.0)
+        assert beta2(p) == pytest.approx(3.0)
 
 
 class TestExchangeQuantities:
@@ -212,11 +211,11 @@ class TestMaxwellian:
 
 class TestEquilibriumMoments:
     def test_unit_centered(self):
-        n, nu, E = equilibrium_moment_vector(SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0)
+        n, nu, E = conserved_from_moments(SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0)
         assert (n, nu, E) == (1.0, 0.0, 1.0)
 
     def test_species2_energy_vs_quadrature(self):
-        n, nu, E = equilibrium_moment_vector(M2_REF, 1.5)
+        n, nu, E = conserved_from_moments(M2_REF, 1.5)
         assert E == pytest.approx(0.092, abs=1e-15)
         v, w = vgrid()
         fv = maxwellian(M2_REF, 1.5, v)

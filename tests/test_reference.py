@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kinmix import macrofv
 from kinmix.grids import GridSpec
 from kinmix.homogeneous import kinetic_homogeneous_run
 from kinmix.model import MixtureParams, SpeciesMoments, maxwellian, validate_params
@@ -12,6 +13,8 @@ from kinmix.reference import (
     dvm_run,
     dvm_step,
 )
+
+from oracles import min_value
 
 P1 = validate_params(MixtureParams())
 
@@ -64,17 +67,21 @@ class TestDvmStep:
         st = cosine_state(grid)
         with pytest.raises(CFLError, match="need dt <="):
             dvm_step(st, P1, dt=1.0)
+        assert CFLError is macrofv.CFLError  # one CFL error for both solvers
 
     def test_homogeneous_restriction_matches_kinetic_run(self):
+        # the homogeneous kinetic run is this solver on one cell, bit for bit
         grid = GridSpec(Nx=1, Nv=256)
         v = grid.v_nodes
         f1 = v4_profile(v)
         f2 = maxwellian(SpeciesMoments(n=1.2, u=0.1, T=0.1), 1.5, v)
-        traj = kinetic_homogeneous_run(f1.copy(), f2.copy(), P1, grid, dt=2e-3, t_end=0.5)
-        st = GridDistribution(f1=f1[None, :].copy(), f2=f2[None, :].copy(), grid=grid)
-        out = dvm_run(st, P1, dt=2e-3, t_end=0.5)
-        assert np.max(np.abs(out.f1[0] - traj.f1)) < 1e-8
-        assert np.max(np.abs(out.f2[0] - traj.f2)) < 1e-8
+        # with Knudsen 0.05 and dt = 0.05, rate*dt = 1.2: the Heun update sub-steps
+        p005 = validate_params(MixtureParams(eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05))
+        for p, dt, t_end in ((P1, 2e-3, 0.5), (p005, 5e-2, 1.0)):
+            traj = kinetic_homogeneous_run(f1.copy(), f2.copy(), p, grid, dt=dt, t_end=t_end)
+            st = GridDistribution(f1=f1[None, :].copy(), f2=f2[None, :].copy(), grid=grid)
+            out = dvm_run(st, p, dt=dt, t_end=t_end)
+            assert np.array_equal(out.f1[0], traj.f1) and np.array_equal(out.f2[0], traj.f2)
 
     def test_mass_conserved_exactly_per_step(self):
         grid = GridSpec(Nx=32, Nv=64)
@@ -109,7 +116,7 @@ class TestDvmStep:
         grid = GridSpec(Nx=32, Nv=64)
         st = cosine_state(grid)
         out = dvm_run(st, P1, dt=1e-2, t_end=0.3)
-        assert out.min_value() >= -1e-12
+        assert min_value(out) >= -1e-12
 
     def test_moments_evolve_toward_equilibrium(self):
         grid = GridSpec(Nx=32, Nv=64)
