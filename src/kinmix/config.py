@@ -58,14 +58,15 @@ class RunConfig:
     T2: float | None = None
 
 
+# the JSON blocks of a config and the RunConfig fields each one holds
 _SCHEMA = {
     "mode": None,
-    "domain": {"Lx": "Lx", "Lv": "Lv", "Nx": "Nx", "Nv": "Nv"},
-    "particles": {"Np1": "Np1", "Np2": "Np2", "seed": "seed"},
-    "time": {"dt": "dt", "t_end": "t_end", "output_every": "output_every"},
-    "mixture": {"m1": "m1", "m2": "m2", "delta": "delta", "alpha": "alpha", "gamma": "gamma", "nu12": "nu12"},
-    "knudsen": {"eps1": "eps1", "epst1": "epst1", "eps2": "eps2", "epst2": "epst2"},
-    "init": {"preset": "preset", "beta": "beta", "T1": "T1", "T2": "T2"},
+    "domain": ("Lx", "Lv", "Nx", "Nv"),
+    "particles": ("Np1", "Np2", "seed"),
+    "time": ("dt", "t_end", "output_every"),
+    "mixture": ("m1", "m2", "delta", "alpha", "gamma", "nu12"),
+    "knudsen": ("eps1", "epst1", "eps2", "epst2"),
+    "init": ("preset", "beta", "T1", "T2"),
 }
 
 PRESETS = {
@@ -106,16 +107,16 @@ def parse_config(text: str) -> RunConfig:
         if doc["mode"] not in ("homogeneous", "general", "reference"):
             raise ConfigError(f"mode must be homogeneous|general|reference, got '{doc['mode']}'")
         values["mode"] = doc["mode"]
-    for block, mapping in _SCHEMA.items():
-        if mapping is None or block not in doc:
+    for block, fields in _SCHEMA.items():
+        if fields is None or block not in doc:
             continue
         sub = doc[block]
         if not isinstance(sub, dict):
             raise ConfigError(f"block '{block}' must be an object")
         for key in sub:
-            if key not in mapping:
+            if key not in fields:
                 raise ConfigError(f"unknown key '{block}.{key}'")
-            values[mapping[key]] = sub[key]
+            values[key] = sub[key]
 
     cfg = RunConfig(**values)
     _validate_fields(cfg)
@@ -184,20 +185,12 @@ def _validate_fields(cfg: RunConfig) -> None:
 
 
 def config_to_json(cfg: RunConfig) -> str:
-    doc = {
-        "mode": cfg.mode,
-        "domain": {"Lx": cfg.Lx, "Lv": cfg.Lv, "Nx": cfg.Nx, "Nv": cfg.Nv},
-        "particles": {"Np1": cfg.Np1, "Np2": cfg.Np2, "seed": cfg.seed},
-        "time": {"dt": cfg.dt, "t_end": cfg.t_end, "output_every": cfg.output_every},
-        "mixture": {"m1": cfg.m1, "m2": cfg.m2, "delta": cfg.delta, "alpha": cfg.alpha,
-                    "gamma": cfg.gamma, "nu12": cfg.nu12},
-        "knudsen": {"eps1": cfg.eps1, "epst1": cfg.epst1, "eps2": cfg.eps2, "epst2": cfg.epst2},
-        "init": {"preset": cfg.preset, "beta": cfg.beta},
-    }
-    if cfg.T1 is not None:
-        doc["init"]["T1"] = cfg.T1
-    if cfg.T2 is not None:
-        doc["init"]["T2"] = cfg.T2
+    """The JSON document of cfg, block by block as `parse_config` reads it;
+    unset temperature overrides (None) are left out."""
+    doc = {"mode": cfg.mode}
+    for block, fields in _SCHEMA.items():
+        if fields is not None:
+            doc[block] = {k: getattr(cfg, k) for k in fields if getattr(cfg, k) is not None}
     return json.dumps(doc, indent=2)
 
 

@@ -47,7 +47,6 @@ class SimState:
     macro: MacroState
     ps1: ParticleSet
     ps2: ParticleSet
-    step_index: int = 0
 
     @property
     def t(self) -> float:
@@ -220,7 +219,7 @@ def step(
     ps2, sk2 = _relax_particles(2, ps2, cells2, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, grid, dt, macro.t, transport)
 
     return (
-        SimState(macro=macro, ps1=ps1, ps2=ps2, step_index=sim.step_index + 1),
+        SimState(macro=macro, ps1=ps1, ps2=ps2),
         StepDiagnostics(skipped_cells=sk1 + sk2),
     )
 
@@ -290,23 +289,19 @@ def _reconstruct_f(sim: SimState, p: MixtureParams, grid: GridSpec):
     return out
 
 
-def _entropy_diagnostic(sim: SimState, p: MixtureParams, grid: GridSpec) -> float:
-    """H(f1|M1) + H(f2|M2) from the reconstructed, x-averaged distributions.
-    Histogram noise can undershoot zero; such bins are clipped (diagnostic only)."""
-    mr2 = p.mass_ratio2
+def _entropy_diagnostic(fs, moments, p: MixtureParams, grid: GridSpec) -> float:
+    """H(f1|M1) + H(f2|M2) of the reconstructed distributions `fs` against
+    the Maxwellians of their cell `moments`, averaged over the cells (the
+    homogeneous mode it serves has one).  Histogram noise can undershoot
+    zero; such bins are clipped (diagnostic only)."""
     vb = grid.v_bin_centers
     total = 0.0
-    for U, mr, ps in ((sim.macro.U1, 1.0, sim.ps1), (sim.macro.U2, mr2, sim.ps2)):
-        m = moments_from_conserved(U, mr)
-        nbar, ubar = float(np.mean(m.n)), float(np.mean(m.u))
-        th = float(np.mean(m.T)) / mr
-        Mv = maxwellian(SpeciesMoments(n=nbar, u=ubar, T=th * mr), mr, vb)
-        lnM = np.log(nbar) - 0.5 * np.log(2.0 * np.pi * th) - ((vb - ubar) ** 2) / (2.0 * th)
-        vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
-        fv = Mv + np.bincount(vi, weights=ps.w, minlength=grid.Nv) / (grid.Lx * grid.dv_bin)
-        fv = np.clip(fv, 0.0, None)
-        pos = fv > 0
-        total += float(np.sum(grid.dv_bin * fv[pos] * (np.log(fv[pos]) - lnM[pos])))
+    for f, m, mr in zip(fs, moments, (1.0, p.mass_ratio2)):
+        th = (m.T / mr)[:, None]
+        lnM = np.log(m.n)[:, None] - 0.5 * np.log(2.0 * np.pi * th) - ((vb - m.u[:, None]) ** 2) / (2.0 * th)
+        f = np.clip(f, 0.0, None)
+        pos = f > 0
+        total += float(np.sum(grid.dv_bin * f[pos] * (np.log(f[pos]) - lnM[pos]))) / grid.Nx
     return total
 
 
@@ -335,27 +330,20 @@ def run(cfg: RunConfig) -> RunResult:
 
     def record(s):
         if kinetic:
-            m1 = reference.cellwise_moments(s.f1, grid, 1.0)
-            m2 = reference.cellwise_moments(s.f2, grid, mr2)
-            wq, v = grid.v_weights, grid.v_nodes
-            momentum = (s.f1 + mr2 * s.f2) @ (wq * v)
-            energy = (s.f1 + mr2 * s.f2) @ (wq * v * v)
-            f1, f2 = s.f1.copy(), s.f2.copy()
+            U1, U2 = reference.conserved(s.f1, grid), reference.conserved(s.f2, grid)
+            v, f1, f2 = grid.v_nodes, s.f1.copy(), s.f2.copy()
         else:
-            m1 = moments_from_conserved(s.macro.U1, 1.0)
-            m2 = moments_from_conserved(s.macro.U2, mr2)
-            momentum = s.macro.U1[:, 1] + mr2 * s.macro.U2[:, 1]
-            energy = s.macro.U1[:, 2] + mr2 * s.macro.U2[:, 2]
-            v = grid.v_bin_centers
-            f1, f2 = _reconstruct_f(s, p, grid)
+            U1, U2 = s.macro.U1, s.macro.U2
+            v, (f1, f2) = grid.v_bin_centers, _reconstruct_f(s, p, grid)
+        m1, m2 = moments_from_conserved(U1, 1.0), moments_from_conserved(U2, mr2)
         row = {
             "gap_u_inf": np.max(np.abs(m1.u - m2.u)),
             "gap_T_inf": np.max(np.abs(m1.T - m2.T)),
             "gap_u_sq": np.max((m1.u - m2.u) ** 2),
             "mass1": np.sum(m1.n) * dx,
             "mass2": np.sum(m2.n) * dx,
-            "momentum": np.sum(momentum) * dx,
-            "energy": np.sum(energy) * dx,
+            "momentum": np.sum(U1[:, 1] + mr2 * U2[:, 1]) * dx,
+            "energy": np.sum(U1[:, 2] + mr2 * U2[:, 2]) * dx,
         }
         if not kinetic:
             row["sum_abs_w1"] = np.sum(np.abs(s.ps1.w))
@@ -363,7 +351,7 @@ def run(cfg: RunConfig) -> RunResult:
         if homogeneous:
             row["analytic_gap_u_sq"] = analytic_velocity_gap(s.t, u1, u2, p, n1, n2)
             row["analytic_gap_T"] = analytic_temperature_gap(s.t, u1, u2, T1, T2, p, n1, n2)
-            row["entropy"] = _entropy_diagnostic(s, p, grid)
+            row["entropy"] = _entropy_diagnostic((f1, f2), (m1, m2), p, grid)
         times.append(s.t)
         for key, val in row.items():
             series.setdefault(key, []).append(float(val))

@@ -25,6 +25,7 @@ import numpy as np
 
 from .grids import GridSpec
 from .model import SpeciesMoments
+from .projection import hermite_gram
 
 
 @dataclass
@@ -271,17 +272,7 @@ def match(
     # gram matrix of the basis (1, h1, h2) under the empirical Maxwellian
     # measure; the weight-relation factor Lx Lv / Np cancels out of the
     # correction, so it is left out of both the matrix and the correction
-    A = np.empty((grid.Nx, 3, 3))
-    t1, t2 = h1 * M, h2 * M
-    A[:, 0, 0] = cells.sum(M)
-    A[:, 0, 1] = cells.sum(t1)
-    A[:, 0, 2] = cells.sum(t2)
-    A[:, 1, 1] = cells.sum(np.multiply(t1, h1, out=t1))
-    A[:, 1, 2] = cells.sum(np.multiply(t2, h1, out=t1))
-    A[:, 2, 2] = cells.sum(np.multiply(t2, h2, out=t2))
-    del t2
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        A[:, j, i] = A[:, i, j]
+    A = hermite_gram(M, h1, cells.sum)
 
     counts = cells.counts
     scale = np.abs(A).max(axis=(1, 2))
@@ -292,6 +283,7 @@ def match(
     skipped = int(np.count_nonzero(~good & (counts > 0)))
 
     if np.any(good):
+        t1 = np.empty_like(w)
         for _ in range(2):  # second pass removes solve round-off
             b = np.empty((grid.Nx, 3))
             b[:, 0] = cells.sum(w)

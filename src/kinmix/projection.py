@@ -4,6 +4,10 @@ A projection is stored as the three raw moment functionals of the projected
 function plus the reference Maxwellian moments; evaluation is lazy, so the
 particle path never touches a velocity grid.  All fields broadcast, which
 lets one object hold per-cell (or per-particle, after a gather) arrays.
+
+Where the span has to be matched on samples rather than in closed form (the
+particle matching solve, the reference solver's moment-pinned discrete
+Maxwellians), both solve against the one Gram matrix of `hermite_gram`.
 """
 from __future__ import annotations
 
@@ -56,6 +60,25 @@ def project_cross_maxwellian(
         u=Mk.u,
         theta=Mk.theta(mass_ratio),
     )
+
+
+def hermite_gram(M: np.ndarray, h1: np.ndarray, reduce) -> np.ndarray:
+    """Per-cell Gram matrix <b_i b_j M> of the scaled Hermite basis
+    b = (1, h1, h2 = h1^2 - 1), shape (..., 3, 3).
+
+    M and h1 are samples (velocity nodes of each cell's row, or particles in
+    cell order) and `reduce` sums samples into per-cell values (quadrature
+    over the nodes, or segment sums over each cell's particles).  Every entry
+    is a combination of the five sums S_k = reduce(M h1^k), k = 0..4, so one
+    sample-length temporary is live at a time."""
+    t = np.array(M, dtype=float)
+    S = [reduce(t)]
+    for _ in range(4):
+        t *= h1
+        S.append(reduce(t))
+    S0, S1, S2, S3, S4 = S
+    G = np.stack([S0, S1, S2 - S0, S1, S2, S3 - S1, S2 - S0, S3 - S1, S4 - 2.0 * S2 + S0], axis=-1)
+    return G.reshape(G.shape[:-1] + (3, 3))
 
 
 def eval_projection(coeffs: ProjectionCoeffs, v):

@@ -5,11 +5,16 @@ micro-macro scheme, so clarity beats speed throughout.  On one cell (Nx=1)
 there is no transport, and it is the homogeneous kinetic integrator of
 `homogeneous.kinetic_homogeneous_run`.
 
-The cell moments follow the conservative Heun update of `_heun_exchange`,
-built on `macrofv.exchange_increment` and sub-stepped by
-`macrofv.relaxation_substeps`.  Discrete Maxwellians are renormalized (a 3x3
-correction per cell) so their grid moments match the target moments
-exactly, which keeps the conservation checks sharp on coarse velocity grids.
+A grid distribution reaches the moment layer only through its conserved
+vector U = (<f>, <v f>, <v^2 f>) per cell (`conserved`), the vector the
+finite-volume solver carries, and moments come back out of U through
+`macrofv.moments_from_conserved` with its positivity check.  The cell
+moments follow a conservative Heun update of U under
+`macrofv.relaxation_source`, sub-stepped by `macrofv.relaxation_substeps`.
+Discrete Maxwellians are renormalized (a 3x3 Hermite solve per cell on the
+Gram matrix of `projection.hermite_gram`, which particle matching solves
+against too) so their grid moments match the target moments exactly, which
+keeps the conservation checks sharp on coarse velocity grids.
 """
 from __future__ import annotations
 
@@ -18,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec
-from .macrofv import CFLError, exchange_increment, relaxation_substeps
+from .macrofv import CFLError, moments_from_conserved, relaxation_source, relaxation_substeps
 from .model import MixtureParams, SpeciesMoments, exchange_quantities
+from .projection import hermite_gram
 
 
 @dataclass
@@ -32,14 +38,17 @@ class GridDistribution:
     t: float = 0.0
 
 
-def cellwise_moments(f: np.ndarray, grid: GridSpec, mass_ratio: float) -> SpeciesMoments:
-    """(n, u, T) per cell by trapezoid over the velocity nodes; a 1-D f is
-    one cell and gives scalars."""
+def conserved(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """U = (<f>, <v f>, <v^2 f>) per cell by trapezoid over the velocity
+    nodes, shape (Nx, 3); a 1-D f is one cell and gives shape (3,)."""
     v, wq = grid.v_nodes, grid.v_weights
-    n = f @ wq
-    u = (f @ (wq * v)) / n
-    T = ((f @ (wq * v * v)) / n - u * u) * mass_ratio
-    return SpeciesMoments(n=n, u=u, T=T)
+    return f @ np.stack([wq, wq * v, wq * v * v], axis=1)
+
+
+def cellwise_moments(f: np.ndarray, grid: GridSpec, mass_ratio: float) -> SpeciesMoments:
+    """(n, u, T) per cell from the conserved vector of f; a 1-D f is one
+    cell and gives 0-d arrays."""
+    return moments_from_conserved(conserved(f, grid), mass_ratio)
 
 
 def discrete_maxwellian_rows(n, u, th, grid: GridSpec) -> np.ndarray:
@@ -49,17 +58,14 @@ def discrete_maxwellian_rows(n, u, th, grid: GridSpec) -> np.ndarray:
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     th = np.atleast_1d(np.asarray(th, dtype=float))
-    M = n[:, None] / np.sqrt(2.0 * np.pi * th[:, None]) * np.exp(
-        -((v[None, :] - u[:, None]) ** 2) / (2.0 * th[:, None])
-    )
-    h1 = (v[None, :] - u[:, None]) / np.sqrt(th[:, None])
-    h2 = h1 * h1 - 1.0
-    H = np.stack([np.ones_like(h1), h1, h2], axis=1)  # (Nx, 3, Nv)
-    A = np.einsum("civ,v,cjv->cij", H, wq, H * M[:, None, :])
-    r = -np.einsum("civ,v,cv->ci", H, wq, M)
+    h1 = (v[None, :] - u[:, None]) / np.sqrt(th)[:, None]
+    M = (n / np.sqrt(2.0 * np.pi * th))[:, None] * np.exp(-0.5 * h1 * h1)
+    A = hermite_gram(M, h1, lambda a: a @ wq)
+    # target moments against (1, h1, h2) are (n, 0, 0); A's first row holds M's
+    r = -A[:, 0, :]
     r[:, 0] += n
     c = np.linalg.solve(A, r[..., None])[..., 0]
-    return M * (1.0 + c[:, 0, None] + c[:, 1, None] * h1 + c[:, 2, None] * h2)
+    return M * (1.0 + c[:, 0, None] + c[:, 1, None] * h1 + c[:, 2, None] * (h1 * h1 - 1.0))
 
 
 def _upwind_transport(f: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
@@ -72,70 +78,50 @@ def _upwind_transport(f: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
     return f - pos * (f - fm) - neg * (fp - f)
 
 
-def _heun_exchange(m1: SpeciesMoments, m2: SpeciesMoments, p: MixtureParams, dt: float):
-    """Conservative Heun update of the momenta and energies of both species
-    over dt under `exchange_increment`, sub-stepped by `relaxation_substeps`;
-    densities stay fixed.  Each stage evaluates the increment at a single
+def _heun_exchange(U1: np.ndarray, U2: np.ndarray, p: MixtureParams, dt: float):
+    """Conservative Heun update of both species' conserved vectors over dt
+    under `relaxation_source`, sub-stepped by `relaxation_substeps`;
+    densities stay fixed.  Each stage evaluates the source at a single
     state, so total momentum/energy move only by round-off."""
-    mr2 = p.mass_ratio2
-    n1, n2 = m1.n, m2.n
-
-    def moments(P1, E1, P2, E2):
-        u1, u2 = P1 / n1, P2 / n2
-        return (
-            SpeciesMoments(n=n1, u=u1, T=E1 / n1 - u1**2),
-            SpeciesMoments(n=n2, u=u2, T=(E2 / n2 - u2**2) * mr2),
-        )
-
-    nsub = relaxation_substeps(dt, n1, n2, p)
+    nsub = relaxation_substeps(dt, U1[:, 0], U2[:, 0], p)
     h = dt / nsub
-    y = (n1 * m1.u, n1 * (m1.T + m1.u**2), n2 * m2.u, n2 * (m2.T / mr2 + m2.u**2))
     for _ in range(nsub):
-        k1 = exchange_increment(m1, m2, p)
-        k2 = exchange_increment(*moments(*(yi + h * ki for yi, ki in zip(y, k1))), p)
-        y = tuple(yi + 0.5 * h * (a + b) for yi, a, b in zip(y, k1, k2))
-        m1, m2 = moments(*y)
-    return m1, m2
+        k1 = relaxation_source(U1, U2, p)
+        k2 = relaxation_source(U1 + h * k1[0], U2 + h * k1[1], p)
+        U1 = U1 + 0.5 * h * (k1[0] + k2[0])
+        U2 = U2 + 0.5 * h * (k1[1] + k2[1])
+    return U1, U2
 
 
 def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt: float):
     """Pointwise exponential relaxation toward own + interaction Maxwellians,
     with the cell moments advanced conservatively and then re-pinned;
-    returns the relaxed (f1, f2)."""
+    returns the relaxed (f1, f2).  A non-positive or NaN cell density or
+    temperature raises `PositivityError` naming the species."""
     mr2 = p.mass_ratio2
-    m1 = cellwise_moments(f1, grid, 1.0)
-    m2 = cellwise_moments(f2, grid, mr2)
+    U1, U2 = conserved(f1, grid), conserved(f2, grid)
+    m1 = moments_from_conserved(U1, 1.0, "(species 1)")
+    m2 = moments_from_conserved(U2, mr2, "(species 2)")
     ex = exchange_quantities(m1, m2, p)
-    c1, c2 = _heun_exchange(m1, m2, p, dt)
-
-    # the two species are written out, not looped over: a per-species loop frees
-    # and re-grows the heap top every step (measured: 4x the page faults, +15% time)
-    a1 = p.nu12 * m1.n / p.eps1
-    b1 = p.nu12 * m2.n / p.epst1
-    a2 = p.nu12 * m2.n / p.eps2
-    b2 = p.nu12 * m1.n / p.epst2
-    lam1, lam2 = a1 + b1, a2 + b2
-
-    Md1 = discrete_maxwellian_rows(m1.n, m1.u, m1.T, grid)
-    Md12 = discrete_maxwellian_rows(m1.n, ex.u12, ex.T12, grid)
-    Md2 = discrete_maxwellian_rows(m2.n, m2.u, m2.T / mr2, grid)
-    Md21 = discrete_maxwellian_rows(m2.n, ex.u21, ex.T21 / mr2, grid)
-
-    Mbar1 = (a1[:, None] * Md1 + b1[:, None] * Md12) / lam1[:, None]
-    Mbar2 = (a2[:, None] * Md2 + b2[:, None] * Md21) / lam2[:, None]
-    f1 = Mbar1 + (f1 - Mbar1) * np.exp(-lam1 * dt)[:, None]
-    f2 = Mbar2 + (f2 - Mbar2) * np.exp(-lam2 * dt)[:, None]
-
-    # pin the grid moments to the conservative moment update
-    mg1 = cellwise_moments(f1, grid, 1.0)
-    mg2 = cellwise_moments(f2, grid, mr2)
-    f1 = f1 + discrete_maxwellian_rows(c1.n, c1.u, c1.T, grid) - discrete_maxwellian_rows(
-        mg1.n, mg1.u, mg1.T, grid
-    )
-    f2 = f2 + discrete_maxwellian_rows(c2.n, c2.u, c2.T / mr2, grid) - discrete_maxwellian_rows(
-        mg2.n, mg2.u, mg2.T / mr2, grid
-    )
-    return f1, f2
+    C1, C2 = _heun_exchange(U1, U2, p, dt)
+    out = []
+    for f, m, C, mr, n_other, eps, epst, u_cross, T_cross in (
+        (f1, m1, C1, 1.0, m2.n, p.eps1, p.epst1, ex.u12, ex.T12),
+        (f2, m2, C2, mr2, m1.n, p.eps2, p.epst2, ex.u21, ex.T21),
+    ):
+        a = p.nu12 * m.n / eps
+        b = p.nu12 * n_other / epst
+        lam = a + b
+        Mbar = (
+            a[:, None] * discrete_maxwellian_rows(m.n, m.u, m.T / mr, grid)
+            + b[:, None] * discrete_maxwellian_rows(m.n, u_cross, T_cross / mr, grid)
+        ) / lam[:, None]
+        f = Mbar + (f - Mbar) * np.exp(-lam * dt)[:, None]
+        # pin the grid moments to the conservative moment update C
+        c, g = moments_from_conserved(C, mr), cellwise_moments(f, grid, mr)
+        f = f + discrete_maxwellian_rows(c.n, c.u, c.T / mr, grid)
+        out.append(f - discrete_maxwellian_rows(g.n, g.u, g.T / mr, grid))
+    return tuple(out)
 
 
 def dvm_step(state: GridDistribution, p: MixtureParams, dt: float) -> GridDistribution:

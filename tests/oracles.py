@@ -61,3 +61,18 @@ def snapshot_csv_text(x, v, f):
         for j, vj in enumerate(v):
             lines.append(f"{float(xi):.17g},{float(vj):.17g},{float(f[i, j]):.17g}")
     return "\n".join(lines) + "\n"
+
+
+def hermite_gram_pairwise(M, h1, cell, ncells, weight=None):
+    """Per-cell Gram sum_s weight_s M_s b_i(h1_s) b_j(h1_s) of the basis
+    b = (1, h1, h1^2 - 1), accumulated sample by sample and pair by pair:
+    sample s lies in cell[s] and has quadrature weight weight[s] (1 when
+    omitted)."""
+    G = np.zeros((ncells, 3, 3))
+    for s in range(len(M)):
+        b = (1.0, float(h1[s]), float(h1[s]) ** 2 - 1.0)
+        ws = 1.0 if weight is None else float(weight[s])
+        for i in range(3):
+            for j in range(3):
+                G[cell[s], i, j] += ws * float(M[s]) * b[i] * b[j]
+    return G

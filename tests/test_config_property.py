@@ -1,13 +1,14 @@
-"""Property test of config admission: a random config either parses and
-survives setup plus one step of its mode, or parse rejects it with an error
-that names one of the drawn fields.  A crash after parsing fails the test."""
+"""Property test of config admission: a random config either parses, writes
+back to JSON that parses to the same config, and survives setup plus one
+step of its mode, or parse rejects it with an error that names one of the
+drawn fields.  A crash after parsing fails the test."""
 import json
 import math
 import re
 
 from hypothesis import given, settings, strategies as st
 
-from kinmix.config import PRESETS, ConfigError, parse_config
+from kinmix.config import PRESETS, ConfigError, config_to_json, parse_config
 from kinmix.driver import run
 from kinmix.model import MixtureParams, ParameterError
 
@@ -66,5 +67,6 @@ def test_random_config_parses_and_steps_or_is_rejected_naming_a_field(doc):
         named = [*FIELDS, "mode", "preset"]
         assert any(re.search(rf"\b{name}\b", str(e)) for name in named), str(e)
         return
+    assert parse_config(config_to_json(cfg)) == cfg
     result = run(cfg)
     assert len(result.times) == 2

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from kinmix.grids import GridSpec
 from kinmix.model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian, validate_params
+from kinmix.particles import Cells
 from kinmix.projection import (
     complement_eval,
     eval_projection,
+    hermite_gram,
     project_cross_maxwellian,
     project_from_moments,
 )
 
-from oracles import gaussian, raw_moment, vgrid
+from oracles import gaussian, hermite_gram_pairwise, raw_moment, vgrid
 
 M1 = SpeciesMoments(n=1.0, u=0.5, T=1.0)
 M2 = SpeciesMoments(n=1.2, u=0.1, T=0.1)
@@ -143,3 +146,34 @@ class TestComplement:
         cross = gaussian(M1.n, ex.u12, ex.T12, v)
         coeffs = project_cross_maxwellian(M1, ex, 1, 1.0)
         assert np.max(np.abs(complement_eval(cross, coeffs, v))) < 1e-13
+
+
+class TestHermiteGram:
+    def test_grid_rows_match_pairwise_quadrature(self):
+        grid = GridSpec(Nx=3, Nv=64)
+        v, wq = grid.v_nodes, grid.v_weights
+        n = np.array([1.0, 1.2, 0.7])
+        u = np.array([0.0, 0.3, -0.5])
+        th = np.array([5.0, 0.5, 1.3])
+        h1 = (v[None, :] - u[:, None]) / np.sqrt(th)[:, None]
+        M = gaussian(n[:, None], u[:, None], th[:, None], v[None, :])
+        G = hermite_gram(M, h1, lambda a: a @ wq)
+        ref = hermite_gram_pairwise(M.ravel(), h1.ravel(), np.repeat(np.arange(3), grid.Nv), 3, np.tile(wq, 3))
+        assert G.shape == (3, 3, 3)
+        assert np.allclose(G, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+
+    def test_particle_segments_match_pairwise_sums(self):
+        # empty, 1-particle and 2-particle cells next to populated ones
+        counts = [0, 1, 2, 7, 0, 3]
+        grid = GridSpec(Lx=6.0, Nx=6, Lv=20.0, Nv=64)
+        rng = np.random.default_rng(5)
+        cell = np.repeat(np.arange(grid.Nx), counts)
+        x = (cell + rng.uniform(0.1, 0.9, cell.size)) * grid.dx
+        v = rng.uniform(-3.0, 3.0, cell.size)
+        u, th = 0.3, 1.4
+        h1 = (v - u) / np.sqrt(th)
+        M = gaussian(1.0, u, th, v)
+        G = hermite_gram(M, h1, Cells(grid, x).sum)
+        ref = hermite_gram_pairwise(M, h1, cell, grid.Nx)
+        assert np.allclose(G, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+        assert not G[[0, 4]].any()

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from kinmix import macrofv
+from kinmix import macrofv, reference
+from kinmix.config import RunConfig
+from kinmix.driver import run
 from kinmix.grids import GridSpec
 from kinmix.homogeneous import kinetic_homogeneous_run
+from kinmix.macrofv import PositivityError
 from kinmix.model import MixtureParams, SpeciesMoments, maxwellian, validate_params
 from kinmix.reference import (
     CFLError,
@@ -29,6 +32,14 @@ def cosine_state(grid, beta=0.1):
     f2 = (1 + beta * np.cos(X / 2)) * v4_profile(V)
     f1 = maxwellian(SpeciesMoments(n=1.0, u=0.5, T=1.0), 1.0, V) * np.ones_like(X)
     return GridDistribution(f1=f1, f2=f2, grid=grid)
+
+
+def poison(f, fault):
+    """Put a NaN into one sample of f, or flip the sign of cell 1 (negative density)."""
+    if fault == "nan":
+        f[1, 10] = np.nan
+    else:
+        f[1] *= -1.0
 
 
 class TestDiscreteMaxwellian:
@@ -128,3 +139,32 @@ class TestDvmStep:
         m1b = cellwise_moments(out.f1, grid, 1.0)
         m2b = cellwise_moments(out.f2, grid, 1.5)
         assert np.max(np.abs(m1b.u - m2b.u)) < gap0
+
+
+class TestWatchdog:
+    @pytest.mark.parametrize("fault", ["nan", "negative-density"])
+    @pytest.mark.parametrize("species", [1, 2])
+    def test_bad_cell_raises_naming_species(self, species, fault):
+        grid = GridSpec(Nx=4, Nv=64)
+        st = cosine_state(grid)
+        poison(getattr(st, f"f{species}"), fault)
+        with pytest.raises(PositivityError, match=rf"\(species {species}\)"):
+            dvm_step(st, P1, dt=1e-2)
+
+    @pytest.mark.parametrize("fault", ["nan", "negative-density"])
+    def test_run_aborts_at_the_step_that_meets_it(self, monkeypatch, fault):
+        # the state after step 1 is poisoned; no record falls between, so step 2 meets it
+        cfg = RunConfig(mode="reference", Nx=4, Nv=64, dt=1e-2, t_end=3e-2, output_every=3,
+                        preset="cosine-perturbed", beta=0.1)
+        real_step = reference.dvm_step
+
+        def poisoning_step(state, p, dt):
+            out = real_step(state, p, dt)
+            if state.t == 0.0:
+                poison(out.f2, fault)
+            return out
+
+        monkeypatch.setattr(reference, "dvm_step", poisoning_step)
+        with pytest.raises(RuntimeError, match=r"run aborted at step 2/3 .*\(species 2\)") as err:
+            run(cfg)
+        assert isinstance(err.value.__cause__, PositivityError)
