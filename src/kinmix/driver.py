@@ -18,7 +18,7 @@ summed moment triple per cell:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,16 @@ from .model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellia
 from .particles import (
     Cells,
     ParticleSet,
+    StepWorkspace,
     cell_fields,
     deposit,
+    horner,
     init_particles,
     local_maxwellian,
     match,
     push,
     sort_by_cell,
+    step_workspace,
     update_weights,
 )
 from . import reference
@@ -44,9 +47,13 @@ from . import reference
 
 @dataclass
 class SimState:
+    """Macro state and particle sets at one time; `work` holds the particle
+    step's buffers and is handed on from each state to the next."""
+
     macro: MacroState
     ps1: ParticleSet
     ps2: ParticleSet
+    work: StepWorkspace = field(default_factory=StepWorkspace, repr=False, compare=False)
 
     @property
     def t(self) -> float:
@@ -55,7 +62,14 @@ class SimState:
 
 @dataclass
 class StepDiagnostics:
+    """What one step reports: cells that matching could not solve, the
+    largest post-match per-cell residual over both species (sums of w
+    against the cell's basis (1, h1, h1^2 - 1)) and the cells re-solved
+    because their first solve left a residual above tolerance."""
+
     skipped_cells: int = 0
+    match_residual: float = 0.0
+    refined_cells: int = 0
 
 
 def _centered_dx(arr: np.ndarray, dx: float) -> np.ndarray:
@@ -73,6 +87,7 @@ def _micro_source(
     g_moments,
     transport: bool,
     shared=None,
+    work: StepWorkspace | None = None,
 ):
     """Vectorized micro source S(x, v) for one species plus its per-cell
     damping rate.
@@ -82,11 +97,15 @@ def _micro_source(
     moments (rows <g>, <vg>, <v^2 g>, <v^3 g>) or None when transport is off.
     shared is an optional (positions, velocities, Cells, LocalMaxwellian)
     tuple reused when the source is evaluated at exactly those two arrays.
+    The source is written into the workspace's "source" buffer (a new array
+    without `work`), which the next evaluation overwrites.
 
     In the scaled Hermite basis h1 = (v-u)/sigma, h2 = h1^2 - 1 of the cell
     Maxwellian the source is M_k(v) [P(h) - v Q(h)] + rate M_kj(v), where P
     is the projection bracket (the one `projection.eval_projection` builds)
     and Q the transport factor, both with per-cell coefficients on (1, h1, h2).
+    With v = u + sigma h1, P - v Q is a cubic in h1 with per-cell
+    coefficients, evaluated by Horner's rule.
     """
     mr = 1.0 if species == 1 else p.mass_ratio2
     eps_k = p.eps1 if species == 1 else p.eps2
@@ -116,10 +135,15 @@ def _micro_source(
         comb0 = comb0 + dG1
         comb1 = comb1 + dG2 - u * dG1
         comb2 = comb2 + dG3 - 2.0 * u * dG2 + u * u * dG1
-        # v dx M = v M (A + B sigma h1 + C theta h2)
-        Q = (A, B * sig, Cc * th)
     # combined projection Pi(phi1 + phi2 - rate*M_kj) per unit M_k
     P = (comb0 / n, comb1 / (sig * n), (comb2 / th - comb0) / (2.0 * n))
+    # P on (1, h1, h1^2)
+    poly = (P[0] - P[2], P[1], P[2])
+    if transport:
+        # v dx M = v M Q with Q = A + B sigma h1 + C theta h2; minus
+        # (u + sigma h1) Q on (1, h1, h1^2, h1^3)
+        Q0, Q1, Q2 = A - Cc * th, B * sig, Cc * th
+        poly = (poly[0] - u * Q0, poly[1] - u * Q1 - sig * Q0, poly[2] - u * Q2 - sig * Q1, -sig * Q2)
 
     # rate * M_kj(v) = amp * exp(-((v - u_cross) / sigma_cross)^2 / 2)
     thc = np.asarray(theta_cross, dtype=float)
@@ -127,31 +151,16 @@ def _micro_source(
     inv_sig_c = 1.0 / np.sqrt(thc)
     amp_c = rate * n / np.sqrt(2.0 * np.pi * thc)
 
-    def basis_sum(cells, coeffs, loc):
-        # coeffs[0] + coeffs[1] h1 + coeffs[2] h2, at most one temporary
-        out = cells.expand(coeffs[2])
-        out *= loc.h2
-        out += cells.expand(coeffs[0])
-        t = cells.expand(coeffs[1])
-        t *= loc.h1
-        out += t
-        return out
-
     def source_eval(x, v, t):
         if shared is not None and x is shared[0] and v is shared[1]:
             cells, loc = shared[2], shared[3]
         else:
             cells = Cells(grid, x)
             loc = local_maxwellian(v, cells, mk, mr)
-        out = basis_sum(cells, P, loc)
-        if transport:
-            q = basis_sum(cells, Q, loc)
-            q *= v
-            out -= q
-            del q
+        ws = step_workspace(work)
+        out = horner(poly, loc.h1, cells.expand, ws.buffer("source", v.size))
         out *= loc.M
-        z = cells.expand(uc)
-        np.subtract(v, z, out=z)
+        z = np.subtract(v, cells.expand(uc), out=ws.buffer("scratch", v.size))
         z *= cells.expand(inv_sig_c)
         np.square(z, out=z)
         z *= -0.5
@@ -164,16 +173,17 @@ def _micro_source(
     return source_eval, lam
 
 
-def _relax_particles(species, ps, cells, mk, n_other, u_cross, theta_cross, p, G, grid, dt, t, transport):
+def _relax_particles(species, ps, cells, mk, n_other, u_cross, theta_cross, p, G, grid, dt, t, transport, work):
     """Weight update and matching of one cell-sorted species grouped by
-    `cells`; the cell Maxwellian at its particles is evaluated once and shared
-    by the source, the update and the matching.  Returns (matched set,
-    skipped cells)."""
+    `cells`, through the buffers of `work`; the cell Maxwellian at its
+    particles is evaluated once and shared by the source, the update and the
+    matching.  Returns (matched set, skipped cells)."""
     mr = 1.0 if species == 1 else p.mass_ratio2
-    loc = local_maxwellian(ps.v, cells, mk, mr)
-    se, lam = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport, (ps.x, ps.v, cells, loc))
-    ps = update_weights(ps, se, lam, dt, grid, t, cells=cells)
-    return match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells)
+    loc = local_maxwellian(ps.v, cells, mk, mr, work)
+    shared = (ps.x, ps.v, cells, loc)
+    se, lam = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport, shared, work)
+    ps = update_weights(ps, se, lam, dt, grid, t, cells=cells, work=work)
+    return match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells, work=work)
 
 
 def step(
@@ -183,9 +193,12 @@ def step(
     dt: float,
     transport: bool = True,
 ):
-    """Advance the coupled system by dt; returns (new SimState, diagnostics)."""
+    """Advance the coupled system by dt; returns (new SimState, diagnostics).
+
+    The new state's particle arrays are new; the input state is left as it
+    was, and its workspace is handed on to the new state."""
     mr2 = p.mass_ratio2
-    ps1, ps2 = sim.ps1, sim.ps2
+    ps1, ps2, work = sim.ps1, sim.ps2, sim.work
 
     if transport:
         ps1, cells1 = sort_by_cell(push(ps1, dt, grid), grid)
@@ -215,12 +228,17 @@ def step(
     m2 = moments_from_conserved(macro.U2, mr2, where="(species 2)")
     ex = exchange_quantities(m1, m2, p)
 
-    ps1, sk1 = _relax_particles(1, ps1, cells1, m1, m2.n, ex.u12, ex.T12, p, G1, grid, dt, macro.t, transport)
-    ps2, sk2 = _relax_particles(2, ps2, cells2, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, grid, dt, macro.t, transport)
+    ps1, sk1 = _relax_particles(1, ps1, cells1, m1, m2.n, ex.u12, ex.T12, p, G1, grid, dt, macro.t, transport, work)
+    residual1, refined1 = work.match_residual, work.refined_cells
+    ps2, sk2 = _relax_particles(2, ps2, cells2, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, grid, dt, macro.t, transport, work)
 
     return (
-        SimState(macro=macro, ps1=ps1, ps2=ps2),
-        StepDiagnostics(skipped_cells=sk1 + sk2),
+        SimState(macro=macro, ps1=ps1, ps2=ps2, work=work),
+        StepDiagnostics(
+            skipped_cells=sk1 + sk2,
+            match_residual=max(residual1, work.match_residual),
+            refined_cells=refined1 + work.refined_cells,
+        ),
     )
 
 

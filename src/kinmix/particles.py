@@ -16,6 +16,13 @@ bit-reproducible.  Functions handed an unsorted set group it the same way
 internally (`Cells`) and answer in the caller's order.  The time step builds
 the grouping once per species (`sort_by_cell`) and hands it to every call
 that needs it (`cells=`).
+
+The particle-length temporaries of a step (the cell Maxwellian at the
+particles, the micro source, the updated weights, the matching correction
+and one scratch product) live in a `StepWorkspace` that the run keeps across
+steps, and are written with `out=`: after the first step a step allocates
+little beyond the arrays of the new state.  Every function that takes a
+workspace (`work=`) also runs without one, and then allocates its buffers.
 """
 from __future__ import annotations
 
@@ -26,6 +33,12 @@ import numpy as np
 from .grids import GridSpec
 from .model import SpeciesMoments
 from .projection import hermite_gram
+
+# relative tolerance of the matching residual: a cell is re-solved when a
+# post-match sum exceeds this multiple of the summed magnitudes of its terms.
+# Pairwise summation of n terms errs by at most ~log2(n) eps times that
+# scale (17 eps at n = 1e5), and well-conditioned cells read about 1 eps.
+MATCH_RTOL = 64.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -68,6 +81,7 @@ class Cells:
         # reduceat reads an empty segment as the element at its start, so
         # only filled cells are reduced and the others are zeroed
         self._filled = None if filled.all() else filled
+        self.starts = starts
         self._starts = starts if self._filled is None else starts[filled]
 
     def sorted(self, a: np.ndarray) -> np.ndarray:
@@ -100,14 +114,50 @@ class Cells:
         return self.unsorted(self.repeat(field))
 
 
+class StepWorkspace:
+    """Particle-length work buffers of the time step, kept across steps.
+
+    The step relaxes one species after the other through the same buffers,
+    so one workspace serves both species and grows to the larger set.
+    Buffers whose lifetimes do not overlap share storage:
+
+        "h1", "M"    the cell Maxwellian at the particles (source, update, match)
+        "source"     the micro source, then the matching correction
+        "weights"    the updated weights, until the matching has read them
+        "scratch"    the cross-Maxwellian term, then the products that are summed
+
+    `match` leaves a record of its last call here: `match_residual`, the
+    largest post-match per-cell residual of a solved cell, and
+    `refined_cells`, the number of cells it re-solved.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.match_residual = 0.0
+        self.refined_cells = 0
+
+    def buffer(self, name: str, n: int) -> np.ndarray:
+        """Buffer `name` as n floats of undefined content, reallocated only
+        when it is shorter than n."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < n:
+            buf = self.buffers[name] = np.empty(n)
+        return buf[:n]
+
+
+def step_workspace(work: StepWorkspace | None) -> StepWorkspace:
+    """`work`, or a fresh workspace (whose buffers are then new arrays)."""
+    return StepWorkspace() if work is None else work
+
+
 @dataclass
 class LocalMaxwellian:
     """A species' cell Maxwellian at its particles' velocities, with the
-    cell's scaled Hermite basis: h1 = (v - u)/sigma, h2 = h1^2 - 1 and
-    M = n exp(-h1^2/2)/sqrt(2 pi theta), theta = sigma^2 = T/m."""
+    cell's scaled velocity h1 = (v - u)/sigma (the Hermite basis is
+    (1, h1, h1^2 - 1)) and M = n exp(-h1^2/2)/sqrt(2 pi theta),
+    theta = sigma^2 = T/m."""
 
     h1: np.ndarray
-    h2: np.ndarray
     M: np.ndarray
 
 
@@ -119,20 +169,37 @@ def cell_fields(Mk: SpeciesMoments, mass_ratio: float, Nx: int):
     return n, u, th
 
 
-def local_maxwellian(v: np.ndarray, cells: Cells, Mk: SpeciesMoments, mass_ratio: float) -> LocalMaxwellian:
-    """Evaluate the cell Maxwellian of Mk at velocities v (caller order)."""
+def local_maxwellian(
+    v: np.ndarray, cells: Cells, Mk: SpeciesMoments, mass_ratio: float, work: StepWorkspace | None = None
+) -> LocalMaxwellian:
+    """Evaluate the cell Maxwellian of Mk at velocities v (caller order),
+    into the workspace's "h1" and "M" buffers."""
     n, u, th = cell_fields(Mk, mass_ratio, cells.counts.size)
     if not np.all(th > 0):
         raise ValueError("the cell Maxwellian requires T > 0 in every cell")
-    h1 = cells.expand(u)
-    np.subtract(v, h1, out=h1)
-    h1 /= cells.expand(np.sqrt(th))
-    h2 = np.square(h1)
-    M = np.multiply(h2, -0.5)
+    work = step_workspace(work)
+    h1 = np.subtract(v, cells.expand(u), out=work.buffer("h1", v.size))
+    h1 *= cells.expand(1.0 / np.sqrt(th))
+    M = np.square(h1, out=work.buffer("M", v.size))
+    M *= -0.5
     np.exp(M, out=M)
     M *= cells.expand(n / np.sqrt(2.0 * np.pi * th))
-    h2 -= 1.0
-    return LocalMaxwellian(h1=h1, h2=h2, M=M)
+    return LocalMaxwellian(h1=h1, M=M)
+
+
+def horner(coeffs, h1: np.ndarray, spread, out: np.ndarray) -> np.ndarray:
+    """out = sum_j c_j h1^j by Horner's rule, one spread per coefficient.
+
+    coeffs are the polynomial's coefficients c_j, lowest degree first (at
+    least two), as per-cell fields that `spread` maps to the particles
+    (`Cells.repeat` or `Cells.expand`), or as scalars with an identity
+    `spread`."""
+    np.multiply(spread(coeffs[-1]), h1, out=out)
+    for c in coeffs[-2:0:-1]:
+        out += spread(c)
+        out *= h1
+    out += spread(coeffs[0])
+    return out
 
 
 def init_particles(g0, grid: GridSpec, Np: int, seed, species: int = 1) -> ParticleSet:
@@ -204,7 +271,14 @@ def cell_sums(ps: ParticleSet, grid: GridSpec, idx: np.ndarray | None = None) ->
 
 
 def update_weights(
-    ps: ParticleSet, source_eval, lam, dt: float, grid: GridSpec, t: float = 0.0, cells: Cells | None = None
+    ps: ParticleSet,
+    source_eval,
+    lam,
+    dt: float,
+    grid: GridSpec,
+    t: float = 0.0,
+    cells: Cells | None = None,
+    work: StepWorkspace | None = None,
 ) -> ParticleSet:
     """Exact exponential (Duhamel) weight update.
 
@@ -213,7 +287,9 @@ def update_weights(
     forward Euler.  source_eval(x, v, t) is the non-stiff micro source,
     vectorized; lam is one damping rate per cell, shape (Nx,), or a scalar.
     The decay and gain factors are formed per cell and then spread over the
-    cell's particles (cells: their grouping, built when omitted).
+    cell's particles (cells: their grouping, built when omitted).  The new
+    weights are the workspace's "weights" buffer (a new array without
+    `work`), which the next update overwrites.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0):
@@ -228,11 +304,38 @@ def update_weights(
     gain = gain * (grid.Lx * grid.Lv / ps.Np)
     if cells is None:
         cells = Cells(grid, ps.x)
-    decay, gain = cells.expand(decay), cells.expand(gain)
+    w = np.multiply(ps.w, cells.expand(decay), out=step_workspace(work).buffer("weights", ps.Np))
+    gain = cells.expand(gain)
     gain *= s
-    w = np.multiply(ps.w, decay, out=decay)
     w += gain
     return ParticleSet(x=ps.x, v=ps.v, w=w, species=ps.species)
+
+
+def _hermite_sums(w: np.ndarray, h1: np.ndarray, reduce, tmp: np.ndarray, with_scale: bool = False):
+    """Sums of w against the basis (1, h1, h1^2 - 1), shape (..., 3), with
+    `reduce` summing samples per cell and tmp as the one scratch array.
+
+    with_scale adds bounds on the summed magnitudes of each sum's terms,
+    (S|w|, sqrt(S|w| S|w|h1^2), S|w|h1^2 + S|w|): the scale of its round-off.
+    """
+    s0 = reduce(w)
+    t = np.multiply(w, h1, out=tmp)
+    s1 = reduce(t)
+    t *= h1
+    s2 = reduce(t)
+    sums = np.stack([s0, s1, s2 - s0], axis=-1)
+    if not with_scale:
+        return sums
+    a2 = reduce(np.abs(t, out=t))
+    a0 = reduce(np.abs(w, out=t))
+    return sums, np.stack([a0, np.sqrt(a0 * a2), a2 + a0], axis=-1)
+
+
+def _correction(a, h1: np.ndarray, M: np.ndarray, spread, out: np.ndarray) -> np.ndarray:
+    """out = [a0 + a1 h1 + a2 (h1^2 - 1)] M, the coefficients spread per cell."""
+    horner((a[..., 0] - a[..., 2], a[..., 1], a[..., 2]), h1, spread, out)
+    out *= M
+    return out
 
 
 def match(
@@ -243,6 +346,7 @@ def match(
     idx: np.ndarray | None = None,
     local: LocalMaxwellian | None = None,
     cells: Cells | None = None,
+    work: StepWorkspace | None = None,
 ):
     """Per-cell weight correction zeroing the discrete sums of m(v).
 
@@ -250,29 +354,34 @@ def match(
     cell's particles, with (a0, a1, a2) from an exact 3x3 solve, so that
     sum w, sum w v, sum w v^2 vanish per cell.  Internally the solve uses the
     scaled Hermite basis of the cell Maxwellian to keep the system
-    well-conditioned; one refinement pass mops up round-off.  `local` is
-    that basis at the particles (caller order) when the caller already has
-    it, from `local_maxwellian` with the same Mk; `cells` is the particles'
-    grouping, built from idx (or x) when omitted.
+    well-conditioned.  Each cell is solved once; the post-match sums are
+    then measured, and only a cell whose residual exceeds MATCH_RTOL times
+    the round-off scale of its sums is re-solved against that residual.
+    The workspace records the largest remaining residual and the number of
+    re-solved cells.  `local` is that basis at the particles (caller order)
+    when the caller already has it, from `local_maxwellian` with the same
+    Mk; `cells` is the particles' grouping, built from idx (or x) when
+    omitted.
 
     Returns (matched ParticleSet, number of cells skipped as unsolvable); the
-    weights come back in the caller's particle order.
+    weights come back newly allocated, in the caller's particle order.
     """
     _, _, th = cell_fields(Mk, mass_ratio, grid.Nx)
     if not np.all(th > 0):
         raise ValueError("matching requires T > 0 in every cell")
 
+    work = step_workspace(work)
     if cells is None:
         cells = Cells(grid, ps.x, idx)
     if local is None:
-        local = local_maxwellian(ps.v, cells, Mk, mass_ratio)
-    h1, h2, M = (cells.sorted(a) for a in (local.h1, local.h2, local.M))
-    w = ps.w.copy() if cells.order is None else ps.w[cells.order]
+        local = local_maxwellian(ps.v, cells, Mk, mass_ratio, work)
+    h1, M, w = (cells.sorted(a) for a in (local.h1, local.M, ps.w))
+    tmp = work.buffer("scratch", w.size)
 
     # gram matrix of the basis (1, h1, h2) under the empirical Maxwellian
     # measure; the weight-relation factor Lx Lv / Np cancels out of the
     # correction, so it is left out of both the matrix and the correction
-    A = hermite_gram(M, h1, cells.sum)
+    A = hermite_gram(M, h1, cells.sum, out=tmp)
 
     counts = cells.counts
     scale = np.abs(A).max(axis=(1, 2))
@@ -282,23 +391,20 @@ def match(
     # empty cells have nothing to match; only populated unsolvable cells count
     skipped = int(np.count_nonzero(~good & (counts > 0)))
 
-    if np.any(good):
-        t1 = np.empty_like(w)
-        for _ in range(2):  # second pass removes solve round-off
-            b = np.empty((grid.Nx, 3))
-            b[:, 0] = cells.sum(w)
-            b[:, 1] = cells.sum(np.multiply(w, h1, out=t1))
-            b[:, 2] = cells.sum(np.multiply(w, h2, out=t1))
-            # unsolvable cells keep a = 0, so their weights stay untouched
-            a = np.zeros((grid.Nx, 3))
-            a[good] = np.linalg.solve(A[good], b[good][..., None])[..., 0]
-            corr = cells.repeat(a[:, 1])
-            corr *= h1
-            corr += cells.repeat(a[:, 0])
-            np.multiply(cells.repeat(a[:, 2]), h2, out=t1)
-            corr += t1
-            corr *= M
-            w -= corr
-            del corr
+    # unsolvable cells keep a = 0, so their weights stay untouched
+    a = np.zeros((grid.Nx, 3))
+    a[good] = np.linalg.solve(A[good], _hermite_sums(w, h1, cells.sum, tmp)[good][..., None])[..., 0]
+    corr = _correction(a, h1, M, cells.repeat, work.buffer("source", w.size))
+    out = np.subtract(w, corr)
 
-    return ParticleSet(x=ps.x, v=ps.v, w=cells.unsorted(w), species=ps.species), skipped
+    r, roundoff = _hermite_sums(out, h1, cells.sum, tmp, with_scale=True)
+    refine = np.flatnonzero(good & np.any(np.abs(r) > MATCH_RTOL * roundoff, axis=1))
+    for c in refine:
+        seg = slice(cells.starts[c], cells.starts[c] + counts[c])
+        ac = np.linalg.solve(A[c], r[c])
+        out[seg] -= _correction(ac, h1[seg], M[seg], float, corr[seg])
+        r[c] = _hermite_sums(out[seg], h1[seg], np.sum, tmp[seg])
+    work.match_residual = float(np.abs(r[good]).max(initial=0.0))
+    work.refined_cells = int(refine.size)
+
+    return ParticleSet(x=ps.x, v=ps.v, w=cells.unsorted(out), species=ps.species), skipped

@@ -62,7 +62,7 @@ def project_cross_maxwellian(
     )
 
 
-def hermite_gram(M: np.ndarray, h1: np.ndarray, reduce) -> np.ndarray:
+def hermite_gram(M: np.ndarray, h1: np.ndarray, reduce, out: np.ndarray | None = None) -> np.ndarray:
     """Per-cell Gram matrix <b_i b_j M> of the scaled Hermite basis
     b = (1, h1, h2 = h1^2 - 1), shape (..., 3, 3).
 
@@ -70,10 +70,11 @@ def hermite_gram(M: np.ndarray, h1: np.ndarray, reduce) -> np.ndarray:
     cell order) and `reduce` sums samples into per-cell values (quadrature
     over the nodes, or segment sums over each cell's particles).  Every entry
     is a combination of the five sums S_k = reduce(M h1^k), k = 0..4, so one
-    sample-length temporary is live at a time."""
-    t = np.array(M, dtype=float)
-    S = [reduce(t)]
-    for _ in range(4):
+    sample-length temporary is live at a time: `out` when given."""
+    S = [reduce(M)]
+    t = np.multiply(M, h1, out=out)
+    S.append(reduce(t))
+    for _ in range(3):
         t *= h1
         S.append(reduce(t))
     S0, S1, S2, S3, S4 = S

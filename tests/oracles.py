@@ -76,3 +76,32 @@ def hermite_gram_pairwise(M, h1, cell, ncells, weight=None):
             for j in range(3):
                 G[cell[s], i, j] += ws * float(M[s]) * b[i] * b[j]
     return G
+
+
+def match_two_pass(cell, v, w, n, u, theta, passes=2):
+    """Reference matching: per cell, solve the Gram system of the scaled
+    Hermite basis (1, h1, h1^2 - 1) under the cell Maxwellian sampled at the
+    particles and subtract the correction, a fixed number of times (two:
+    the second solve removes the first one's round-off).
+
+    cell[s] is particle s's cell and (n, u, theta) the per-cell Maxwellian
+    fields.  Cells with fewer than three particles, or whose Gram
+    determinant is below 1e-10 times the cube of its largest entry, are
+    left untouched and counted.  Returns (new weights, skipped cells)."""
+    w = np.array(w, dtype=float)
+    skipped = 0
+    for c in range(len(n)):
+        sel = np.flatnonzero(cell == c)
+        if sel.size == 0:
+            continue
+        h1 = (v[sel] - u[c]) / np.sqrt(theta[c])
+        M = n[c] / np.sqrt(2 * np.pi * theta[c]) * np.exp(-0.5 * h1 * h1)
+        basis = np.stack([np.ones_like(h1), h1, h1 * h1 - 1.0])
+        G = (basis * M) @ basis.T
+        if sel.size < 3 or abs(np.linalg.det(G)) <= 1e-10 * np.abs(G).max() ** 3:
+            skipped += 1
+            continue
+        for _ in range(passes):
+            a = np.linalg.solve(G, basis @ w[sel])
+            w[sel] -= (a @ basis) * M
+    return w, skipped

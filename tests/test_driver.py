@@ -144,10 +144,67 @@ class TestStep:
                         eps1=1.0, epst1=1.0, eps2=1.0, epst2=1.0, beta=0.1)
         grid, p, sim = setup_simulation(cfg)
         for _ in range(5):
-            sim, _ = step(sim, p, grid, cfg.dt)
+            sim, diag = step(sim, p, grid, cfg.dt)
             assert np.max(np.abs(cell_sums(sim.ps1, grid))) < 1e-12
             assert np.max(np.abs(cell_sums(sim.ps2, grid))) < 1e-12
+            # the step's own residual record; no cell needs a second solve
+            assert diag.refined_cells == 0 and 0.0 < diag.match_residual < 1e-12
 
+
+    STEP_CFGS = {
+        "general": dict(mode="general", Nx=16, Nv=32, Np1=3000, Np2=4000, seed=4, dt=1e-2, t_end=0.0,
+                        m1=1.0, m2=1.0, preset="cosine-perturbed", beta=0.1),
+        # Nx = 1 never sorts, so the stepped sets share v (and the update reads w) with their input
+        "homogeneous": dict(mode="homogeneous", Nx=1, Nv=64, Np1=3000, Np2=2000, seed=4, dt=1e-3, t_end=0.0,
+                            eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05, preset="v4-maxwellian"),
+    }
+
+    @staticmethod
+    def arrays(sim):
+        return [a for ps in (sim.ps1, sim.ps2) for a in (ps.x, ps.v, ps.w)] + [sim.macro.U1, sim.macro.U2]
+
+    @pytest.mark.parametrize("mode", ["general", "homogeneous"])
+    def test_step_neither_mutates_nor_aliases_its_input(self, mode):
+        cfg = RunConfig(**self.STEP_CFGS[mode])
+        grid, p, sim = setup_simulation(cfg)
+        transport = mode == "general"
+        once, _ = step(sim, p, grid, cfg.dt, transport)
+        again, _ = step(sim, p, grid, cfg.dt, transport)
+        assert all(np.array_equal(a, b) for a, b in zip(self.arrays(once), self.arrays(again)))
+        assert once.work is again.work is sim.work
+
+        kept = once
+        frozen = [a.copy() for a in self.arrays(kept)]
+        later = kept
+        for _ in range(2):
+            later, _ = step(later, p, grid, cfg.dt, transport)
+            buffers = list(later.work.buffers.values())
+            assert buffers
+            for ps in (later.ps1, later.ps2):
+                for a in (ps.x, ps.v, ps.w):
+                    assert not any(np.shares_memory(a, b) for b in buffers)
+        assert all(np.array_equal(a, b) for a, b in zip(self.arrays(kept), frozen))
+
+    def test_step_temporaries_stay_within_frozen_bound(self):
+        # tracemalloc, not RSS: the peak of 3 steps of the criterion-7 physics
+        # at 2 x 2e5 particles above the memory the resulting state holds, in
+        # particle-array units 8 (Np1 + Np2) bytes; it includes the workspace.
+        # Frozen at the value measured before the step workspace: 7.15.
+        import tracemalloc
+
+        cfg = RunConfig(mode="general", Lx=4 * np.pi, Lv=20.0, Nx=128, Nv=128, Np1=200_000, Np2=200_000,
+                        seed=3, dt=1e-2, t_end=3e-2, m1=1.0, m2=1.0, delta=0.5, alpha=0.5, gamma=0.1, nu12=1.0,
+                        eps1=1e-2, epst1=1000.0, eps2=1e-2, epst2=1000.0, preset="cosine-perturbed", beta=1e-2)
+        grid, p, sim = setup_simulation(cfg)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                sim, _ = step(sim, p, grid, cfg.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = sum(a.nbytes for ps in (sim.ps1, sim.ps2) for a in (ps.x, ps.v, ps.w))
+        assert (peak - state) / (8 * (cfg.Np1 + cfg.Np2)) <= 7.15
 
     @pytest.mark.parametrize("species", [1, 2])
     def test_nan_state_raises_positivity_error_naming_species(self, species):

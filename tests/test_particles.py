@@ -4,7 +4,9 @@ import pytest
 from kinmix.grids import GridSpec
 from kinmix.model import SpeciesMoments
 from kinmix.particles import (
+    MATCH_RTOL,
     ParticleSet,
+    StepWorkspace,
     cell_sums,
     deposit,
     init_particles,
@@ -14,7 +16,7 @@ from kinmix.particles import (
     update_weights,
 )
 
-from oracles import gaussian
+from oracles import gaussian, match_two_pass
 
 
 def v4_remainder(x, v):
@@ -111,10 +113,13 @@ class TestDeposit:
         grid = GridSpec(Nx=8, Nv=32)
         ps = init_particles(v4_remainder, grid, 20000, seed=11)
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.full(8, 5.0))
-        ps, skipped = match(ps, grid, mk, 1.0)
+        work = StepWorkspace()
+        ps, skipped = match(ps, grid, mk, 1.0, work=work)
         assert skipped == 0
         G = deposit(ps, grid)
         assert np.max(np.abs(G[:3])) < 1e-12
+        # well conditioned: one solve per cell is exact to round-off
+        assert work.refined_cells == 0 and 0.0 < work.match_residual < 1e-12
 
 
 class TestUpdateWeights:
@@ -380,3 +385,73 @@ class TestSortedLayout:
             sim, _ = step(sim, p, grid, cfg.dt)
             for ps in (sim.ps1, sim.ps2):
                 assert np.all(np.diff(grid.cell_index(ps.x)) >= 0)
+
+
+class TestAdaptiveMatch:
+    """One solve per cell, and a second only where the measured residual
+    says the first was not exact enough."""
+
+    def cases(self):
+        layout = TestSortedLayout()
+        grid8, mixed = layout.mixed_set(8)  # empty, 1- and 2-particle cells
+        grid1, single = layout.set_for(1)
+        grid2 = GridSpec(Lx=2.0, Nx=2, Lv=4.0, Nv=8)
+        undersampled = ParticleSet(
+            x=np.array([0.2, 0.6, 1.2, 1.4, 1.6, 1.9]), v=np.array([-1.0, 1.0, -1.5, -0.5, 0.5, 1.5]), w=np.ones(6)
+        )
+        return {
+            "mixed": (grid8, mixed),
+            "mixed-shuffled": (grid8, layout.shuffled(mixed)[0]),
+            "one-cell": (grid1, single),
+            "one-cell-shuffled": (grid1, layout.shuffled(single)[0]),
+            "hand": TestMatch().hand_case()[:2],
+            "undersampled": (grid2, undersampled),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["mixed", "mixed-shuffled", "one-cell", "one-cell-shuffled", "hand", "undersampled"]
+    )
+    def test_agrees_with_two_pass_oracle(self, case):
+        grid, ps = self.cases()[case]
+        n, u, T = np.full(grid.Nx, 1.1), np.full(grid.Nx, 0.2), np.full(grid.Nx, 1.3)
+        out, skipped = match(ps, grid, SpeciesMoments(n=n, u=u, T=T), 1.0)
+        w_ref, skipped_ref = match_two_pass(grid.cell_index(ps.x), ps.v, ps.w, n, u, T)
+        assert skipped == skipped_ref
+        assert np.max(np.abs(out.w - w_ref)) <= 1e-13 * np.max(np.abs(ps.w))
+
+    def test_input_weights_left_untouched(self):
+        grid, ps = self.cases()["mixed-shuffled"]
+        w0 = ps.w.copy()
+        mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.ones(8))
+        out, _ = match(ps, grid, mk, 1.0, work=StepWorkspace())
+        assert np.array_equal(ps.w, w0) and not np.shares_memory(out.w, ps.w)
+
+    def test_inexact_first_solve_is_refined_below_tolerance(self):
+        # one cell whose particles sit at h1 = 0, 1, 6 and 7: the Maxwellian
+        # weights span e^-24, the Gram matrix is ill-conditioned (but above
+        # the determinant threshold), and one solve leaves a residual far
+        # above round-off
+        grid = GridSpec(Lx=1.0, Nx=1, Lv=20.0, Nv=8)
+        v = np.array([0.0, 1.0, 6.0, 7.0])
+        w = np.random.default_rng(2).normal(size=4)
+        ps = ParticleSet(x=np.full(4, 0.5), v=v, w=w)
+        one, u, T = np.ones(1), np.zeros(1), np.ones(1)
+        mk = SpeciesMoments(n=one, u=u, T=T)
+
+        def residual_and_scale(wc):
+            h2 = v * v - 1.0
+            r = np.abs([np.sum(wc), np.sum(wc * v), np.sum(wc * h2)])
+            scale = np.sum(np.abs(wc) * np.array([np.ones(4), np.abs(v), np.abs(h2)]), axis=1)
+            return r, scale
+
+        w_once, skipped = match_two_pass(np.zeros(4, dtype=int), v, w, one, u, T, passes=1)
+        assert skipped == 0
+        r, scale = residual_and_scale(w_once)
+        assert np.any(r > 100.0 * MATCH_RTOL * scale)
+
+        work = StepWorkspace()
+        out, skipped = match(ps, grid, mk, 1.0, work=work)
+        assert skipped == 0 and work.refined_cells == 1
+        r, scale = residual_and_scale(out.w)
+        assert np.all(r <= MATCH_RTOL * scale)
+        assert work.match_residual <= MATCH_RTOL * scale.max()
