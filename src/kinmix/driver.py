@@ -177,13 +177,15 @@ def _relax_particles(species, ps, cells, mk, n_other, u_cross, theta_cross, p, G
     """Weight update and matching of one cell-sorted species grouped by
     `cells`, through the buffers of `work`; the cell Maxwellian at its
     particles is evaluated once and shared by the source, the update and the
-    matching.  Returns (matched set, skipped cells)."""
+    matching.  Returns (matched set, skipped cells, largest post-match
+    residual, re-solved cells)."""
     mr = 1.0 if species == 1 else p.mass_ratio2
     loc = local_maxwellian(ps.v, cells, mk, mr, work)
     shared = (ps.x, ps.v, cells, loc)
     se, lam = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport, shared, work)
     ps = update_weights(ps, se, lam, dt, grid, t, cells=cells, work=work)
-    return match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells, work=work)
+    ps, skipped = match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells, work=work)
+    return ps, skipped, work.match_residual, work.refined_cells
 
 
 def step(
@@ -228,16 +230,15 @@ def step(
     m2 = moments_from_conserved(macro.U2, mr2, where="(species 2)")
     ex = exchange_quantities(m1, m2, p)
 
-    ps1, sk1 = _relax_particles(1, ps1, cells1, m1, m2.n, ex.u12, ex.T12, p, G1, grid, dt, macro.t, transport, work)
-    residual1, refined1 = work.match_residual, work.refined_cells
-    ps2, sk2 = _relax_particles(2, ps2, cells2, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, grid, dt, macro.t, transport, work)
+    ps1, sk1, res1, ref1 = _relax_particles(1, ps1, cells1, m1, m2.n, ex.u12, ex.T12, p, G1, grid, dt, macro.t, transport, work)
+    ps2, sk2, res2, ref2 = _relax_particles(2, ps2, cells2, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, grid, dt, macro.t, transport, work)
 
     return (
         SimState(macro=macro, ps1=ps1, ps2=ps2, work=work),
         StepDiagnostics(
             skipped_cells=sk1 + sk2,
-            match_residual=max(residual1, work.match_residual),
-            refined_cells=refined1 + work.refined_cells,
+            match_residual=max(res1, res2),
+            refined_cells=ref1 + ref2,
         ),
     )
 

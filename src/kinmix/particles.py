@@ -81,7 +81,6 @@ class Cells:
         # reduceat reads an empty segment as the element at its start, so
         # only filled cells are reduced and the others are zeroed
         self._filled = None if filled.all() else filled
-        self.starts = starts
         self._starts = starts if self._filled is None else starts[filled]
 
     def sorted(self, a: np.ndarray) -> np.ndarray:
@@ -192,8 +191,7 @@ def horner(coeffs, h1: np.ndarray, spread, out: np.ndarray) -> np.ndarray:
 
     coeffs are the polynomial's coefficients c_j, lowest degree first (at
     least two), as per-cell fields that `spread` maps to the particles
-    (`Cells.repeat` or `Cells.expand`), or as scalars with an identity
-    `spread`."""
+    (`Cells.repeat` or `Cells.expand`)."""
     np.multiply(spread(coeffs[-1]), h1, out=out)
     for c in coeffs[-2:0:-1]:
         out += spread(c)
@@ -399,11 +397,11 @@ def match(
 
     r, roundoff = _hermite_sums(out, h1, cells.sum, tmp, with_scale=True)
     refine = np.flatnonzero(good & np.any(np.abs(r) > MATCH_RTOL * roundoff, axis=1))
-    for c in refine:
-        seg = slice(cells.starts[c], cells.starts[c] + counts[c])
-        ac = np.linalg.solve(A[c], r[c])
-        out[seg] -= _correction(ac, h1[seg], M[seg], float, corr[seg])
-        r[c] = _hermite_sums(out[seg], h1[seg], np.sum, tmp[seg])
+    if refine.size:
+        a = np.zeros((grid.Nx, 3))
+        a[refine] = np.linalg.solve(A[refine], r[refine][..., None])[..., 0]
+        out -= _correction(a, h1, M, cells.repeat, corr)
+        r = _hermite_sums(out, h1, cells.sum, tmp)
     work.match_residual = float(np.abs(r[good]).max(initial=0.0))
     work.refined_cells = int(refine.size)
 
