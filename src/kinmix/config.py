@@ -285,10 +285,13 @@ def write_timeseries(path: str, result) -> None:
 
 def _snapshot_rows(xs: list[str], vs: list[str], f) -> Iterator[str]:
     """The CSV text of one species, one chunk per x-row: x and v arrive
-    formatted, and each f value is formatted exactly once."""
+    formatted, and each row's f values are formatted by one %-operation on
+    the row's template "x,v_0,%.17g\nx,v_1,%.17g\n..."."""
     yield "x,v,f\n"
+    # joined by x, these give the row template ("" leads, so x opens each line)
+    tails = ["", *(f",{vj},%.17g\n" for vj in vs)]
     for xi, row in zip(xs, np.asarray(f, dtype=float).tolist()):
-        yield "".join([f"{xi},{vj},{fj:.17g}\n" for vj, fj in zip(vs, row)])
+        yield xi.join(tails) % tuple(row)
 
 
 def write_snapshot(outdir: str, snapshot, index: int) -> list[str]:

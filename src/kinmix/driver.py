@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, build_initial_condition, mixture_params
-from .grids import GridSpec
+from .grids import GridSpec, StepWorkspace, step_workspace
 from .homogeneous import analytic_temperature_gap, analytic_velocity_gap, moment_ode_step
 from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
-from .model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian
+from .model import MixtureParams, SpeciesMoments, exchange_quantities
 from .particles import (
     Cells,
     ParticleSet,
-    StepWorkspace,
     cell_fields,
     deposit,
     horner,
@@ -39,7 +38,6 @@ from .particles import (
     match,
     push,
     sort_by_cell,
-    step_workspace,
     update_weights,
 )
 from . import reference
@@ -294,17 +292,34 @@ def setup_simulation(cfg: RunConfig):
 
 
 def _reconstruct_f(sim: SimState, p: MixtureParams, grid: GridSpec):
-    """f_k = Maxwellian(macro) + binned remainder on the (x, v-bin) grid."""
+    """f_k = Maxwellian(macro) + binned remainder on the (x, v-bin) grid.
+
+    The Maxwellian is `model.maxwellian`'s arithmetic, operation for
+    operation, written into the result, and the histogram is added to it."""
     mr2 = p.mass_ratio2
     vb = grid.v_bin_centers
     out = []
     for U, mr, ps in ((sim.macro.U1, 1.0, sim.ps1), (sim.macro.U2, mr2, sim.ps2)):
+        # moments_from_conserved has checked T > 0
         m = moments_from_conserved(U, mr)
-        M = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
-        ci = grid.cell_index(ps.x)
-        vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
-        H = np.bincount(ci * grid.Nv + vi, weights=ps.w, minlength=grid.Nx * grid.Nv).reshape(grid.Nx, grid.Nv)
-        out.append(M + H / (grid.dx * grid.dv_bin))
+        th = (m.T / mr)[:, None]
+        f = np.subtract(vb, m.u[:, None])
+        np.square(f, out=f)
+        np.negative(f, out=f)
+        f /= 2.0 * th
+        np.exp(f, out=f)
+        f *= m.n[:, None] / np.sqrt(2.0 * np.pi * th)
+        vi = ps.v + 0.5 * grid.Lv
+        vi /= grid.dv_bin
+        vi = vi.astype(np.int64)
+        np.clip(vi, 0, grid.Nv - 1, out=vi)
+        bins = grid.cell_index(ps.x)
+        bins *= grid.Nv
+        bins += vi
+        H = np.bincount(bins, weights=ps.w, minlength=grid.Nx * grid.Nv)
+        H /= grid.dx * grid.dv_bin
+        f += H.reshape(grid.Nx, grid.Nv)
+        out.append(f)
     return out
 
 

@@ -1,10 +1,22 @@
 """Phase-space grids: periodic spatial cells and a velocity grid for
-quadrature, the discrete-velocity reference solver and particle histograms."""
+quadrature, the discrete-velocity reference solver and particle histograms,
+and the work buffers that a time step keeps across steps.
+
+A `GridSpec` computes each of its node arrays once, on first use, and hands
+out that one read-only array afterwards: a caller that needs to change one
+works on a copy.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -30,31 +42,33 @@ class GridSpec:
     def dx(self) -> float:
         return self.Lx / self.Nx
 
-    @property
+    # cached_property stores into the instance __dict__ directly, which the
+    # frozen dataclass allows
+    @cached_property
     def x_centers(self) -> np.ndarray:
-        return (np.arange(self.Nx) + 0.5) * self.dx
+        return _read_only((np.arange(self.Nx) + 0.5) * self.dx)
 
-    @property
+    @cached_property
     def v_nodes(self) -> np.ndarray:
-        return np.linspace(-0.5 * self.Lv, 0.5 * self.Lv, self.Nv)
+        return _read_only(np.linspace(-0.5 * self.Lv, 0.5 * self.Lv, self.Nv))
 
-    @property
+    @cached_property
     def v_weights(self) -> np.ndarray:
         # trapezoid: half weight at the two endpoints
         dv = self.Lv / (self.Nv - 1)
         w = np.full(self.Nv, dv)
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
+        return _read_only(w)
 
-    @property
+    @cached_property
     def v_bin_edges(self) -> np.ndarray:
-        return np.linspace(-0.5 * self.Lv, 0.5 * self.Lv, self.Nv + 1)
+        return _read_only(np.linspace(-0.5 * self.Lv, 0.5 * self.Lv, self.Nv + 1))
 
-    @property
+    @cached_property
     def v_bin_centers(self) -> np.ndarray:
         e = self.v_bin_edges
-        return 0.5 * (e[:-1] + e[1:])
+        return _read_only(0.5 * (e[:-1] + e[1:]))
 
     @property
     def dv_bin(self) -> float:
@@ -62,8 +76,18 @@ class GridSpec:
 
     def cell_index(self, x) -> np.ndarray:
         """Nearest-grid-point cell of each position (periodic)."""
-        q = np.floor(np.asarray(x) / self.dx)
-        # wrapped positions already land in range; only others need the modulo
+        x = np.asarray(x)
+        if x.ndim and x.size and x.min() >= 0:
+            # x/dx >= 0 truncates to floor's cell, and goes straight into the
+            # integer result; a cell outside [0, Nx) means x/dx was too (a
+            # quotient past the integer range casts out of it, hence errstate)
+            with np.errstate(invalid="ignore"):
+                idx = np.divide(x, self.dx, out=np.empty(x.shape, np.intp), casting="unsafe")
+            if idx.min() >= 0 and idx.max() < self.Nx:
+                return idx
+        # others (scalars and NaN included) take the floor and, out of range,
+        # the modulo
+        q = np.floor(x / self.dx)
         if not (q.size == 0 or (q.min() >= 0 and q.max() < self.Nx)):
             q = np.mod(q, self.Nx)
         return q.astype(np.intp)
@@ -83,3 +107,36 @@ class GridSpec:
             np.add(out, self.Lx, out=out, where=out < 0.0)
             return out
         return np.mod(x, self.Lx, out=out)
+
+
+class StepWorkspace:
+    """Work buffers of a time step, kept across steps.
+
+    The state of a run carries one (`driver.SimState.work`,
+    `reference.GridDistribution.work`) and hands it on to the next state, so
+    a buffer lives as long as the run.  Buffers are named by their role
+    (`particles` and `reference` list theirs), have undefined content until
+    written, and are written with `out=`.
+
+    `particles.match` leaves a record of its last call here: `match_residual`,
+    the largest post-match per-cell residual of a solved cell, and
+    `refined_cells`, the number of cells it re-solved.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.match_residual = 0.0
+        self.refined_cells = 0
+
+    def buffer(self, name: str, n: int) -> np.ndarray:
+        """Buffer `name` as n floats of undefined content, reallocated only
+        when it is shorter than n."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < n:
+            buf = self.buffers[name] = np.empty(n)
+        return buf[:n]
+
+
+def step_workspace(work: StepWorkspace | None) -> StepWorkspace:
+    """`work`, or a fresh workspace (whose buffers are then new arrays)."""
+    return StepWorkspace() if work is None else work

@@ -17,12 +17,18 @@ internally (`Cells`) and answer in the caller's order.  The time step builds
 the grouping once per species (`sort_by_cell`) and hands it to every call
 that needs it (`cells=`).
 
-The particle-length temporaries of a step (the cell Maxwellian at the
-particles, the micro source, the updated weights, the matching correction
-and one scratch product) live in a `StepWorkspace` that the run keeps across
-steps, and are written with `out=`: after the first step a step allocates
-little beyond the arrays of the new state.  Every function that takes a
-workspace (`work=`) also runs without one, and then allocates its buffers.
+The particle-length temporaries of a step live in a `grids.StepWorkspace`
+that the run keeps across steps, and are written with `out=`: after the first
+step a step allocates little beyond the arrays of the new state.  Every
+function that takes a workspace (`work=`) also runs without one, and then
+allocates its buffers.  The step relaxes one species after the other through
+the same buffers, so one workspace serves both species and grows to the
+larger set.  Buffers whose lifetimes do not overlap share storage:
+
+    "h1", "M"    the cell Maxwellian at the particles (source, update, match)
+    "source"     the micro source, then the matching correction
+    "weights"    the updated weights, until the matching has read them
+    "scratch"    the cross-Maxwellian term, then the products that are summed
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import GridSpec, StepWorkspace, step_workspace
 from .model import SpeciesMoments
 from .projection import hermite_gram
 
@@ -111,42 +117,6 @@ class Cells:
     def expand(self, field) -> np.ndarray:
         """Per-cell field spread over the particles, in caller order."""
         return self.unsorted(self.repeat(field))
-
-
-class StepWorkspace:
-    """Particle-length work buffers of the time step, kept across steps.
-
-    The step relaxes one species after the other through the same buffers,
-    so one workspace serves both species and grows to the larger set.
-    Buffers whose lifetimes do not overlap share storage:
-
-        "h1", "M"    the cell Maxwellian at the particles (source, update, match)
-        "source"     the micro source, then the matching correction
-        "weights"    the updated weights, until the matching has read them
-        "scratch"    the cross-Maxwellian term, then the products that are summed
-
-    `match` leaves a record of its last call here: `match_residual`, the
-    largest post-match per-cell residual of a solved cell, and
-    `refined_cells`, the number of cells it re-solved.
-    """
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-        self.match_residual = 0.0
-        self.refined_cells = 0
-
-    def buffer(self, name: str, n: int) -> np.ndarray:
-        """Buffer `name` as n floats of undefined content, reallocated only
-        when it is shorter than n."""
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < n:
-            buf = self.buffers[name] = np.empty(n)
-        return buf[:n]
-
-
-def step_workspace(work: StepWorkspace | None) -> StepWorkspace:
-    """`work`, or a fresh workspace (whose buffers are then new arrays)."""
-    return StepWorkspace() if work is None else work
 
 
 @dataclass
@@ -235,7 +205,7 @@ def sort_by_cell(ps: ParticleSet, grid: GridSpec):
     cells = Cells(grid, ps.x)
     if cells.order is not None:
         o = cells.order
-        ps = ParticleSet(x=ps.x[o], v=ps.v[o], w=ps.w[o], species=ps.species)
+        ps = ParticleSet(x=np.take(ps.x, o), v=np.take(ps.v, o), w=np.take(ps.w, o), species=ps.species)
         cells.order = None
     return ps, cells
 

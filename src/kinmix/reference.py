@@ -1,7 +1,7 @@
 """Deterministic discrete-velocity solver for the full two-species BGK
 system on an (x, v) grid.  First-order upwind transport + pointwise
 exponential relaxation; used as a cross-validation oracle for the
-micro-macro scheme, so clarity beats speed throughout.  On one cell (Nx=1)
+micro-macro scheme.  On one cell (Nx=1)
 there is no transport, and it is the homogeneous kinetic integrator of
 `homogeneous.kinetic_homogeneous_run`.
 
@@ -15,14 +15,27 @@ Discrete Maxwellians are renormalized (a 3x3 Hermite solve per cell on the
 Gram matrix of `projection.hermite_gram`, which particle matching solves
 against too) so their grid moments match the target moments exactly, which
 keeps the conservation checks sharp on coarse velocity grids.
+
+The step's (Nx, Nv) temporaries are buffers of a `grids.StepWorkspace` that
+each state hands on to the next (`GridDistribution.work`), written with
+`out=`; the arithmetic is the plain formulas', operation for operation, so a
+buffer changes no bit of a result.  The buffers, each (Nx, Nv):
+
+    "h1", "M", "scratch"    a discrete Maxwellian's h1, M and product term
+    "f1", "f2"              the transported species
+    "upwind"                an upwind difference, then the relaxed f
+    "Mbar"                  the relaxation target
+
+The arrays of a returned state are new; a step neither changes nor keeps a
+reference to its input's.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import GridSpec, StepWorkspace, step_workspace
 from .macrofv import CFLError, moments_from_conserved, relaxation_source, relaxation_substeps
 from .model import MixtureParams, SpeciesMoments, exchange_quantities
 from .projection import hermite_gram
@@ -30,12 +43,19 @@ from .projection import hermite_gram
 
 @dataclass
 class GridDistribution:
-    """f1, f2 sampled on (Nx cells) x (Nv velocity nodes)."""
+    """f1, f2 sampled on (Nx cells) x (Nv velocity nodes); `work` holds the
+    step's buffers and is handed on from each state to the next."""
 
     f1: np.ndarray
     f2: np.ndarray
     grid: GridSpec
     t: float = 0.0
+    work: StepWorkspace = field(default_factory=StepWorkspace, repr=False, compare=False)
+
+
+def _rows(work: StepWorkspace, name: str, shape) -> np.ndarray:
+    """Workspace buffer `name` as an array of the given 2-D shape."""
+    return work.buffer(name, shape[0] * shape[1]).reshape(shape)
 
 
 def conserved(f: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -51,31 +71,54 @@ def cellwise_moments(f: np.ndarray, grid: GridSpec, mass_ratio: float) -> Specie
     return moments_from_conserved(conserved(f, grid), mass_ratio)
 
 
-def discrete_maxwellian_rows(n, u, th, grid: GridSpec) -> np.ndarray:
+def discrete_maxwellian_rows(n, u, th, grid: GridSpec, work: StepWorkspace | None = None) -> np.ndarray:
     """Per-cell Maxwellian samples (Nx, Nv) with grid moments matched to
-    (n, n u, n(th + u^2)) exactly via a batched 3x3 Hermite correction."""
+    (n, n u, n(th + u^2)) exactly via a batched 3x3 Hermite correction; the
+    result is a new array, the temporaries are `work`'s buffers."""
     v, wq = grid.v_nodes, grid.v_weights
-    n = np.atleast_1d(np.asarray(n, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    th = np.atleast_1d(np.asarray(th, dtype=float))
-    h1 = (v[None, :] - u[:, None]) / np.sqrt(th)[:, None]
-    M = (n / np.sqrt(2.0 * np.pi * th))[:, None] * np.exp(-0.5 * h1 * h1)
-    A = hermite_gram(M, h1, lambda a: a @ wq)
+    n, u, th = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (n, u, th)))
+    work = step_workspace(work)
+    shape = (n.size, grid.Nv)
+    # h1 = (v - u)/sqrt(th), M = n/sqrt(2 pi th) exp(-0.5 h1 h1)
+    h1 = np.subtract(v, u[:, None], out=_rows(work, "h1", shape))
+    h1 /= np.sqrt(th)[:, None]
+    M = np.multiply(h1, -0.5, out=_rows(work, "M", shape))
+    M *= h1
+    np.exp(M, out=M)
+    M *= (n / np.sqrt(2.0 * np.pi * th))[:, None]
+    tmp = _rows(work, "scratch", shape)
+    A = hermite_gram(M, h1, lambda a: a @ wq, out=tmp)
     # target moments against (1, h1, h2) are (n, 0, 0); A's first row holds M's
     r = -A[:, 0, :]
     r[:, 0] += n
     c = np.linalg.solve(A, r[..., None])[..., 0]
-    return M * (1.0 + c[:, 0, None] + c[:, 1, None] * h1 + c[:, 2, None] * (h1 * h1 - 1.0))
+    # M (1 + c0 + c1 h1 + c2 (h1 h1 - 1))
+    h2 = np.multiply(h1, h1, out=tmp)
+    h2 -= 1.0
+    h2 *= c[:, 2, None]
+    poly = np.multiply(h1, c[:, 1, None], out=h1)
+    poly += 1.0 + c[:, 0, None]
+    poly += h2
+    return np.multiply(M, poly)
 
 
-def _upwind_transport(f: np.ndarray, grid: GridSpec, dt: float) -> np.ndarray:
-    v = grid.v_nodes
-    cr = dt / grid.dx * v
-    fm = np.roll(f, 1, axis=0)   # cell i-1
-    fp = np.roll(f, -1, axis=0)  # cell i+1
+def _upwind_transport(f: np.ndarray, grid: GridSpec, dt: float, work: StepWorkspace, name: str) -> np.ndarray:
+    """f - pos (f - f[i-1]) - neg (f[i+1] - f) on the periodic cells, into
+    workspace buffer `name`."""
+    cr = dt / grid.dx * grid.v_nodes
     pos = np.maximum(cr, 0.0)
     neg = np.minimum(cr, 0.0)
-    return f - pos * (f - fm) - neg * (fp - f)
+    d = _rows(work, "upwind", f.shape)
+    np.subtract(f[1:], f[:-1], out=d[1:])
+    np.subtract(f[:1], f[-1:], out=d[:1])
+    out = _rows(work, name, f.shape)
+    np.multiply(pos, d, out=out)
+    np.subtract(f, out, out=out)
+    # f[i+1] - f[i] is d[i+1]
+    d *= neg
+    out[:-1] -= d[1:]
+    out[-1] -= d[0]
+    return out
 
 
 def _heun_exchange(U1: np.ndarray, U2: np.ndarray, p: MixtureParams, dt: float):
@@ -93,7 +136,7 @@ def _heun_exchange(U1: np.ndarray, U2: np.ndarray, p: MixtureParams, dt: float):
     return U1, U2
 
 
-def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt: float):
+def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt: float, work: StepWorkspace):
     """Pointwise exponential relaxation toward own + interaction Maxwellians,
     with the cell moments advanced conservatively and then re-pinned;
     returns the relaxed (f1, f2).  A non-positive or NaN cell density or
@@ -112,15 +155,20 @@ def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt:
         a = p.nu12 * m.n / eps
         b = p.nu12 * n_other / epst
         lam = a + b
-        Mbar = (
-            a[:, None] * discrete_maxwellian_rows(m.n, m.u, m.T / mr, grid)
-            + b[:, None] * discrete_maxwellian_rows(m.n, u_cross, T_cross / mr, grid)
-        ) / lam[:, None]
-        f = Mbar + (f - Mbar) * np.exp(-lam * dt)[:, None]
+        Mbar = _rows(work, "Mbar", f.shape)
+        fr = _rows(work, "upwind", f.shape)
+        np.multiply(a[:, None], discrete_maxwellian_rows(m.n, m.u, m.T / mr, grid, work), out=Mbar)
+        np.multiply(b[:, None], discrete_maxwellian_rows(m.n, u_cross, T_cross / mr, grid, work), out=fr)
+        Mbar += fr
+        Mbar /= lam[:, None]
+        # Mbar + (f - Mbar) e^{-lam dt}
+        np.subtract(f, Mbar, out=fr)
+        fr *= np.exp(-lam * dt)[:, None]
+        fr += Mbar
         # pin the grid moments to the conservative moment update C
-        c, g = moments_from_conserved(C, mr), cellwise_moments(f, grid, mr)
-        f = f + discrete_maxwellian_rows(c.n, c.u, c.T / mr, grid)
-        out.append(f - discrete_maxwellian_rows(g.n, g.u, g.T / mr, grid))
+        c, g = moments_from_conserved(C, mr), cellwise_moments(fr, grid, mr)
+        fr += discrete_maxwellian_rows(c.n, c.u, c.T / mr, grid, work)
+        out.append(np.subtract(fr, discrete_maxwellian_rows(g.n, g.u, g.T / mr, grid, work)))
     return tuple(out)
 
 
@@ -132,8 +180,11 @@ def dvm_step(state: GridDistribution, p: MixtureParams, dt: float) -> GridDistri
     if grid.Nx > 1 and dt > grid.dx / vmax:
         raise CFLError(f"dt={dt} violates upwind CFL: need dt <= {grid.dx / vmax}")
     # on one periodic cell the upwind differences vanish exactly: no transport
-    f1, f2 = _relax(_upwind_transport(state.f1, grid, dt), _upwind_transport(state.f2, grid, dt), grid, p, dt)
-    return GridDistribution(f1=f1, f2=f2, grid=grid, t=state.t + dt)
+    work = state.work
+    f1 = _upwind_transport(state.f1, grid, dt, work, "f1")
+    f2 = _upwind_transport(state.f2, grid, dt, work, "f2")
+    f1, f2 = _relax(f1, f2, grid, p, dt, work)
+    return GridDistribution(f1=f1, f2=f2, grid=grid, t=state.t + dt, work=work)
 
 
 def dvm_run(state: GridDistribution, p: MixtureParams, dt: float, t_end: float) -> GridDistribution:

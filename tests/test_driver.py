@@ -364,3 +364,23 @@ class TestRun:
         snap = res.snapshots[-1]
         assert snap.f1.shape == (8, 16)
         assert snap.f2.shape == (8, 16)
+
+    def test_reconstructed_f_is_maxwellian_plus_histogram_bit_for_bit(self):
+        from kinmix.driver import _reconstruct_f
+        from kinmix.model import maxwellian
+
+        # out-of-box velocities land in the edge bins
+        cfg = RunConfig(mode="general", Nx=8, Nv=16, Lv=6.0, Np1=3000, Np2=2000, seed=2, dt=1e-2, t_end=0.0,
+                        m1=1.0, m2=1.5, preset="cosine-perturbed", beta=0.1)
+        grid, p, sim = setup_simulation(cfg)
+        sim, _ = step(sim, p, grid, cfg.dt)
+        sim.ps2.v[:3] = [-10.0, 10.0, 0.5 * grid.Lv]
+        vb = grid.v_bin_centers
+        for f, U, mr, ps in zip(_reconstruct_f(sim, p, grid), (sim.macro.U1, sim.macro.U2), (1.0, p.mass_ratio2),
+                                (sim.ps1, sim.ps2)):
+            m = moments_from_conserved(U, mr)
+            M = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
+            vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
+            ci = np.floor(ps.x / grid.dx).astype(np.int64) % grid.Nx
+            H = np.bincount(ci * grid.Nv + vi, weights=ps.w, minlength=grid.Nx * grid.Nv).reshape(grid.Nx, grid.Nv)
+            assert np.array_equal(f, M + H / (grid.dx * grid.dv_bin))

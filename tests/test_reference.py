@@ -3,8 +3,8 @@ import pytest
 
 from kinmix import macrofv, reference
 from kinmix.config import RunConfig
-from kinmix.driver import run
-from kinmix.grids import GridSpec
+from kinmix.driver import run, setup_simulation
+from kinmix.grids import GridSpec, StepWorkspace
 from kinmix.homogeneous import kinetic_homogeneous_run
 from kinmix.macrofv import PositivityError
 from kinmix.model import MixtureParams, SpeciesMoments, maxwellian, validate_params
@@ -139,6 +139,72 @@ class TestDvmStep:
         m1b = cellwise_moments(out.f1, grid, 1.0)
         m2b = cellwise_moments(out.f2, grid, 1.5)
         assert np.max(np.abs(m1b.u - m2b.u)) < gap0
+
+
+class TestStepWorkspace:
+    def test_stepping_one_state_twice_gives_the_same_bits_and_workspace(self):
+        grid = GridSpec(Nx=16, Nv=64)
+        st = cosine_state(grid)
+        once, again = dvm_step(st, P1, dt=1e-2), dvm_step(st, P1, dt=1e-2)
+        assert np.array_equal(once.f1, again.f1) and np.array_equal(once.f2, again.f2)
+        assert once.work is again.work is st.work
+
+    def test_kept_states_are_fresh_and_untouched_by_later_steps(self):
+        grid = GridSpec(Nx=16, Nv=64)
+        st = cosine_state(grid)
+        f1_0, f2_0 = st.f1.copy(), st.f2.copy()
+        kept = dvm_step(st, P1, dt=1e-2)
+        assert np.array_equal(st.f1, f1_0) and np.array_equal(st.f2, f2_0)
+        frozen = (kept.f1.copy(), kept.f2.copy())
+        states = [st, kept]
+        for _ in range(2):
+            states.append(dvm_step(states[-1], P1, dt=1e-2))
+        buffers = list(st.work.buffers.values())
+        assert buffers
+        for s in states:
+            for f in (s.f1, s.f2):
+                assert not any(np.shares_memory(f, b) for b in buffers)
+            assert not np.shares_memory(s.f1, s.f2)
+        for a, b in zip(states, states[1:]):
+            for f, g in ((a.f1, b.f1), (a.f2, b.f2), (a.f1, b.f2), (a.f2, b.f1)):
+                assert not np.shares_memory(f, g)
+        assert np.array_equal(kept.f1, frozen[0]) and np.array_equal(kept.f2, frozen[1])
+
+    def test_discrete_maxwellian_same_bits_with_any_workspace(self):
+        grid = GridSpec(Nx=3, Nv=64)
+        n = np.array([1.0, 1.2, 0.7])
+        u = np.array([0.0, 0.3, -0.5])
+        th = np.array([5.0, 0.5, 1.3])
+        plain = discrete_maxwellian_rows(n, u, th, grid)
+        # buffers left larger (and dirty) by a bigger grid
+        work = StepWorkspace()
+        big = GridSpec(Nx=8, Nv=128)
+        discrete_maxwellian_rows(np.ones(8), np.linspace(-1, 1, 8), np.full(8, 2.0), big, work)
+        sizes = {k: b.size for k, b in work.buffers.items()}
+        for _ in range(2):
+            out = discrete_maxwellian_rows(n, u, th, grid, work)
+            assert np.array_equal(out, plain)
+            assert not any(np.shares_memory(out, b) for b in work.buffers.values())
+        assert {k: b.size for k, b in work.buffers.items()} == sizes
+
+    def test_reference_step_temporaries_stay_within_frozen_bound(self):
+        # tracemalloc: the peak of 3 steps at 128 x 256 above the memory the
+        # resulting state holds, in state units 2 Nx Nv 8 bytes; it includes
+        # the workspace. Measured 5.24 before the workspace, 5.08 with it.
+        import tracemalloc
+
+        cfg = RunConfig(mode="reference", Lx=4 * np.pi, Lv=20.0, Nx=128, Nv=256, dt=4e-3, t_end=1.2e-2,
+                        preset="cosine-perturbed", beta=0.1)
+        grid, p, st = setup_simulation(cfg)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                st = dvm_step(st, p, cfg.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = st.f1.nbytes + st.f2.nbytes
+        assert (peak - state) / (2 * grid.Nx * grid.Nv * 8) <= 5.08
 
 
 class TestWatchdog:
