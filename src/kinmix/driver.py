@@ -26,7 +26,7 @@ from .config import RunConfig, build_initial_condition, mixture_params
 from .grids import GridSpec, StepWorkspace, step_workspace
 from .homogeneous import analytic_temperature_gap, analytic_velocity_gap, moment_ode_step
 from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
-from .model import MixtureParams, SpeciesMoments, exchange_quantities
+from .model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian
 from .particles import (
     Cells,
     ParticleSet,
@@ -292,23 +292,13 @@ def setup_simulation(cfg: RunConfig):
 
 
 def _reconstruct_f(sim: SimState, p: MixtureParams, grid: GridSpec):
-    """f_k = Maxwellian(macro) + binned remainder on the (x, v-bin) grid.
-
-    The Maxwellian is `model.maxwellian`'s arithmetic, operation for
-    operation, written into the result, and the histogram is added to it."""
+    """f_k = Maxwellian(macro) + binned remainder on the (x, v-bin) grid."""
     mr2 = p.mass_ratio2
     vb = grid.v_bin_centers
     out = []
     for U, mr, ps in ((sim.macro.U1, 1.0, sim.ps1), (sim.macro.U2, mr2, sim.ps2)):
-        # moments_from_conserved has checked T > 0
         m = moments_from_conserved(U, mr)
-        th = (m.T / mr)[:, None]
-        f = np.subtract(vb, m.u[:, None])
-        np.square(f, out=f)
-        np.negative(f, out=f)
-        f /= 2.0 * th
-        np.exp(f, out=f)
-        f *= m.n[:, None] / np.sqrt(2.0 * np.pi * th)
+        f = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
         vi = ps.v + 0.5 * grid.Lv
         vi /= grid.dv_bin
         vi = vi.astype(np.int64)
@@ -389,7 +379,7 @@ def run(cfg: RunConfig) -> RunResult:
         times.append(s.t)
         for key, val in row.items():
             series.setdefault(key, []).append(float(val))
-        snapshots.append(Snapshot(t=s.t, x=grid.x_centers, v=v, f1=f1, f2=f2))
+        snapshots.append(Snapshot(t=s.t, x=grid.x_centers.copy(), v=v.copy(), f1=f1, f2=f2))
 
     record(state)
     for k in range(nsteps):

@@ -8,6 +8,7 @@ works on a copy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,18 +77,8 @@ class GridSpec:
 
     def cell_index(self, x) -> np.ndarray:
         """Nearest-grid-point cell of each position (periodic)."""
-        x = np.asarray(x)
-        if x.ndim and x.size and x.min() >= 0:
-            # x/dx >= 0 truncates to floor's cell, and goes straight into the
-            # integer result; a cell outside [0, Nx) means x/dx was too (a
-            # quotient past the integer range casts out of it, hence errstate)
-            with np.errstate(invalid="ignore"):
-                idx = np.divide(x, self.dx, out=np.empty(x.shape, np.intp), casting="unsafe")
-            if idx.min() >= 0 and idx.max() < self.Nx:
-                return idx
-        # others (scalars and NaN included) take the floor and, out of range,
-        # the modulo
-        q = np.floor(x / self.dx)
+        q = np.floor(np.asarray(x) / self.dx)
+        # wrapped positions already land in range; only others need the modulo
         if not (q.size == 0 or (q.min() >= 0 and q.max() < self.Nx)):
             q = np.mod(q, self.Nx)
         return q.astype(np.intp)
@@ -128,13 +119,14 @@ class StepWorkspace:
         self.match_residual = 0.0
         self.refined_cells = 0
 
-    def buffer(self, name: str, n: int) -> np.ndarray:
-        """Buffer `name` as n floats of undefined content, reallocated only
-        when it is shorter than n."""
+    def buffer(self, name: str, shape: int | tuple[int, ...]) -> np.ndarray:
+        """Buffer `name` as floats of the given shape (a length, or a tuple)
+        and undefined content, reallocated only when it is too short."""
+        n = math.prod(shape) if isinstance(shape, tuple) else shape
         buf = self.buffers.get(name)
         if buf is None or buf.size < n:
             buf = self.buffers[name] = np.empty(n)
-        return buf[:n]
+        return buf[:n].reshape(shape)
 
 
 def step_workspace(work: StepWorkspace | None) -> StepWorkspace:

@@ -123,5 +123,12 @@ def maxwellian(M: SpeciesMoments, mass_ratio: float, v):
     if not np.all(T > 0):
         raise ValueError("Maxwellian requires T > 0")
     th = T / mass_ratio
-    return M.n / np.sqrt(2.0 * np.pi * th) * np.exp(-((v - M.u) ** 2) / (2.0 * th))
+    # in place in the result, which is a new array
+    f = np.asarray(np.subtract(v, M.u), dtype=float)
+    np.square(f, out=f)
+    np.negative(f, out=f)
+    f /= 2.0 * th
+    np.exp(f, out=f)
+    f *= M.n / np.sqrt(2.0 * np.pi * th)
+    return f
 

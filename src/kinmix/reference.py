@@ -53,11 +53,6 @@ class GridDistribution:
     work: StepWorkspace = field(default_factory=StepWorkspace, repr=False, compare=False)
 
 
-def _rows(work: StepWorkspace, name: str, shape) -> np.ndarray:
-    """Workspace buffer `name` as an array of the given 2-D shape."""
-    return work.buffer(name, shape[0] * shape[1]).reshape(shape)
-
-
 def conserved(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """U = (<f>, <v f>, <v^2 f>) per cell by trapezoid over the velocity
     nodes, shape (Nx, 3); a 1-D f is one cell and gives shape (3,)."""
@@ -80,13 +75,13 @@ def discrete_maxwellian_rows(n, u, th, grid: GridSpec, work: StepWorkspace | Non
     work = step_workspace(work)
     shape = (n.size, grid.Nv)
     # h1 = (v - u)/sqrt(th), M = n/sqrt(2 pi th) exp(-0.5 h1 h1)
-    h1 = np.subtract(v, u[:, None], out=_rows(work, "h1", shape))
+    h1 = np.subtract(v, u[:, None], out=work.buffer("h1", shape))
     h1 /= np.sqrt(th)[:, None]
-    M = np.multiply(h1, -0.5, out=_rows(work, "M", shape))
+    M = np.multiply(h1, -0.5, out=work.buffer("M", shape))
     M *= h1
     np.exp(M, out=M)
     M *= (n / np.sqrt(2.0 * np.pi * th))[:, None]
-    tmp = _rows(work, "scratch", shape)
+    tmp = work.buffer("scratch", shape)
     A = hermite_gram(M, h1, lambda a: a @ wq, out=tmp)
     # target moments against (1, h1, h2) are (n, 0, 0); A's first row holds M's
     r = -A[:, 0, :]
@@ -108,10 +103,10 @@ def _upwind_transport(f: np.ndarray, grid: GridSpec, dt: float, work: StepWorksp
     cr = dt / grid.dx * grid.v_nodes
     pos = np.maximum(cr, 0.0)
     neg = np.minimum(cr, 0.0)
-    d = _rows(work, "upwind", f.shape)
+    d = work.buffer("upwind", f.shape)
     np.subtract(f[1:], f[:-1], out=d[1:])
     np.subtract(f[:1], f[-1:], out=d[:1])
-    out = _rows(work, name, f.shape)
+    out = work.buffer(name, f.shape)
     np.multiply(pos, d, out=out)
     np.subtract(f, out, out=out)
     # f[i+1] - f[i] is d[i+1]
@@ -155,8 +150,8 @@ def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt:
         a = p.nu12 * m.n / eps
         b = p.nu12 * n_other / epst
         lam = a + b
-        Mbar = _rows(work, "Mbar", f.shape)
-        fr = _rows(work, "upwind", f.shape)
+        Mbar = work.buffer("Mbar", f.shape)
+        fr = work.buffer("upwind", f.shape)
         np.multiply(a[:, None], discrete_maxwellian_rows(m.n, m.u, m.T / mr, grid, work), out=Mbar)
         np.multiply(b[:, None], discrete_maxwellian_rows(m.n, u_cross, T_cross / mr, grid, work), out=fr)
         Mbar += fr

@@ -365,6 +365,21 @@ class TestRun:
         assert snap.f1.shape == (8, 16)
         assert snap.f2.shape == (8, 16)
 
+    @pytest.mark.parametrize("mode", ["general", "reference"])
+    def test_snapshot_nodes_are_own_writable_copies(self, mode):
+        cfg = RunConfig(mode=mode, Nx=8, Nv=16, Np1=1000, Np2=1000, seed=2,
+                        dt=1e-2, t_end=0.02, output_every=1, m1=1.0, m2=1.0,
+                        preset="cosine-perturbed", beta=0.1)
+        res = run(cfg)
+        nodes = res.grid.v_nodes if mode == "reference" else res.grid.v_bin_centers
+        a, b = res.snapshots[0], res.snapshots[-1]
+        assert np.array_equal(a.x, res.grid.x_centers) and np.array_equal(a.v, nodes)
+        for snap in (a, b):
+            assert snap.x.flags.writeable and snap.v.flags.writeable
+            assert not np.shares_memory(snap.x, res.grid.x_centers)
+            assert not np.shares_memory(snap.v, nodes)
+        assert not np.shares_memory(a.x, b.x) and not np.shares_memory(a.v, b.v)
+
     def test_reconstructed_f_is_maxwellian_plus_histogram_bit_for_bit(self):
         from kinmix.driver import _reconstruct_f
         from kinmix.model import maxwellian

@@ -36,7 +36,7 @@ def test_cell_index_at_edges_matches_floor_mod():
     ])
     want = np.mod(np.floor(x / grid.dx), grid.Nx).astype(np.intp)
     assert np.array_equal(grid.cell_index(x), want)
-    # in-range input takes the truncation path; it must agree element by element
+    # in-range input needs no modulo; it must agree element by element
     inside = x[(x / grid.dx >= 0) & (x / grid.dx < grid.Nx)]
     assert np.array_equal(grid.cell_index(inside), np.floor(inside / grid.dx).astype(np.intp))
     assert grid.cell_index(np.array([-0.0]))[0] == 0

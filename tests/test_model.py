@@ -190,6 +190,20 @@ class TestMaxwellian:
         val = maxwellian(m, mr, np.array([0.1]))[0]
         assert val == pytest.approx(1.2 * np.sqrt(mr / (2 * np.pi * 0.1)), rel=1e-15)
 
+    def test_equals_closed_form_bit_for_bit_and_leaves_v_alone(self):
+        # per-cell moments against a read-only row of nodes, as the driver
+        # reconstructs f; the result is a new array
+        m = SpeciesMoments(n=np.array([[0.7], [1.2], [2.0]]), u=np.array([[-0.3], [0.1], [1.4]]),
+                           T=np.array([[0.4], [1.0], [2.5]]))
+        v = np.linspace(-6.0, 6.0, 41)
+        v.setflags(write=False)
+        th = m.T / 1.5
+        closed = m.n / np.sqrt(2.0 * np.pi * th) * np.exp(-((v[None, :] - m.u) ** 2) / (2.0 * th))
+        f = maxwellian(m, 1.5, v[None, :])
+        assert np.array_equal(f, closed)
+        assert not np.shares_memory(f, v)
+        assert np.array_equal(v, np.linspace(-6.0, 6.0, 41))
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError, match="T > 0"):
             maxwellian(SpeciesMoments(n=1.0, u=0.0, T=0.0), 1.0, np.zeros(3))
