@@ -32,8 +32,8 @@ from .model import (
     validate_params,
 )
 from .particles import ParticleSet, deposit, init_particles, match, push, update_weights
-from .projection import ProjectionCoeffs, complement_eval, eval_projection, project_cross_maxwellian, project_from_moments
-from .reference import GridDistribution, dvm_run, dvm_step
+from .projection import bracket, eval_projection
+from .reference import GridDistribution, dvm_step
 from .driver import RunResult, SimState, run, setup_simulation, step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

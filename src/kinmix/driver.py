@@ -32,7 +32,6 @@ from .particles import (
     ParticleSet,
     cell_fields,
     deposit,
-    horner,
     init_particles,
     local_maxwellian,
     match,
@@ -40,6 +39,7 @@ from .particles import (
     sort_by_cell,
     update_weights,
 )
+from .projection import bracket, eval_projection
 from . import reference
 
 
@@ -100,16 +100,16 @@ def _micro_source(
 
     In the scaled Hermite basis h1 = (v-u)/sigma, h2 = h1^2 - 1 of the cell
     Maxwellian the source is M_k(v) [P(h) - v Q(h)] + rate M_kj(v), where P
-    is the projection bracket (the one `projection.eval_projection` builds)
-    and Q the transport factor, both with per-cell coefficients on (1, h1, h2).
-    With v = u + sigma h1, P - v Q is a cubic in h1 with per-cell
-    coefficients, evaluated by Horner's rule.
+    is the projection bracket (`projection.bracket` of the summed moment
+    triple) and Q the transport factor, both with per-cell coefficients on
+    (1, h1, h2).  With v = u + sigma h1, P - v Q is a cubic in h1 with
+    per-cell coefficients, which `projection.eval_projection` evaluates
+    against M_k.
     """
     mr = 1.0 if species == 1 else p.mass_ratio2
     eps_k = p.eps1 if species == 1 else p.eps2
     epst_k = p.epst1 if species == 1 else p.epst2
     n, u, th = cell_fields(mk, mr, grid.Nx)
-    sig = np.sqrt(th)
     rate = p.nu12 * np.asarray(n_other, dtype=float) / epst_k
 
     # moments of the interaction Maxwellian against (1, v-u, |v-u|^2)
@@ -133,13 +133,12 @@ def _micro_source(
         comb0 = comb0 + dG1
         comb1 = comb1 + dG2 - u * dG1
         comb2 = comb2 + dG3 - 2.0 * u * dG2 + u * u * dG1
-    # combined projection Pi(phi1 + phi2 - rate*M_kj) per unit M_k
-    P = (comb0 / n, comb1 / (sig * n), (comb2 / th - comb0) / (2.0 * n))
-    # P on (1, h1, h1^2)
-    poly = (P[0] - P[2], P[1], P[2])
+    # combined projection Pi(phi1 + phi2 - rate*M_kj) per unit M_k, on (1, h1, h1^2)
+    poly = bracket(comb0, comb1, comb2, n, th)
     if transport:
         # v dx M = v M Q with Q = A + B sigma h1 + C theta h2; minus
         # (u + sigma h1) Q on (1, h1, h1^2, h1^3)
+        sig = np.sqrt(th)
         Q0, Q1, Q2 = A - Cc * th, B * sig, Cc * th
         poly = (poly[0] - u * Q0, poly[1] - u * Q1 - sig * Q0, poly[2] - u * Q2 - sig * Q1, -sig * Q2)
 
@@ -156,8 +155,7 @@ def _micro_source(
             cells = Cells(grid, x)
             loc = local_maxwellian(v, cells, mk, mr)
         ws = step_workspace(work)
-        out = horner(poly, loc.h1, cells.expand, ws.buffer("source", v.size))
-        out *= loc.M
+        out = eval_projection(poly, loc.h1, loc.M, cells.expand, ws.buffer("source", v.size))
         z = np.subtract(v, cells.expand(uc), out=ws.buffer("scratch", v.size))
         z *= cells.expand(inv_sig_c)
         np.square(z, out=z)
@@ -182,8 +180,7 @@ def _relax_particles(species, ps, cells, mk, n_other, u_cross, theta_cross, p, G
     shared = (ps.x, ps.v, cells, loc)
     se, lam = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport, shared, work)
     ps = update_weights(ps, se, lam, dt, grid, t, cells=cells, work=work)
-    ps, skipped = match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells, work=work)
-    return ps, skipped, work.match_residual, work.refined_cells
+    return match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells, work=work)
 
 
 def step(

@@ -34,7 +34,7 @@ class GridSpec:
     Nv: int = 512
 
     def __post_init__(self):
-        if self.Lx <= 0 or self.Lv <= 0:
+        if not (self.Lx > 0 and self.Lv > 0):
             raise ValueError("domain lengths must be positive")
         if self.Nx < 1 or self.Nv < 2:
             raise ValueError("need Nx >= 1 and Nv >= 2")
@@ -108,16 +108,10 @@ class StepWorkspace:
     a buffer lives as long as the run.  Buffers are named by their role
     (`particles` and `reference` list theirs), have undefined content until
     written, and are written with `out=`.
-
-    `particles.match` leaves a record of its last call here: `match_residual`,
-    the largest post-match per-cell residual of a solved cell, and
-    `refined_cells`, the number of cells it re-solved.
     """
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
-        self.match_residual = 0.0
-        self.refined_cells = 0
 
     def buffer(self, name: str, shape: int | tuple[int, ...]) -> np.ndarray:
         """Buffer `name` as floats of the given shape (a length, or a tuple)

@@ -108,7 +108,7 @@ def relative_entropy(f: np.ndarray, M: SpeciesMoments, mass_ratio: float, grid: 
         raise ValueError(f"negative distribution sample {f.min()} in relative_entropy")
     f = np.clip(f, 0.0, None)
     th = M.T / mass_ratio
-    if th <= 0:
+    if not th > 0:
         raise ValueError("relative_entropy requires T > 0")
     v = grid.v_nodes
     lnM = np.log(M.n) - 0.5 * np.log(2.0 * np.pi * th) - ((v - M.u) ** 2) / (2.0 * th)

@@ -56,7 +56,7 @@ class MixtureParams:
 
 def validate_params(p: MixtureParams) -> MixtureParams:
     """Return p unchanged if admissible, else raise naming the violated bound."""
-    if p.m1 <= 0 or p.m2 <= 0:
+    if not (p.m1 > 0 and p.m2 > 0):
         raise ParameterError(f"masses must be positive, got m1={p.m1}, m2={p.m2}")
     for name in ("eps1", "epst1", "eps2", "epst2"):
         val = getattr(p, name)
@@ -87,10 +87,6 @@ class SpeciesMoments:
     n: np.ndarray | float
     u: np.ndarray | float
     T: np.ndarray | float
-
-    def theta(self, mass_ratio: float):
-        """Velocity variance of the species Maxwellian."""
-        return self.T / mass_ratio
 
 
 @dataclass

@@ -4,7 +4,9 @@ Particles sample phase space uniformly and carry all the state in their
 weights w = g * Lx * Lv / Np.  Transport pushes positions, the stiff part of
 the source is integrated exactly (Duhamel), and a per-cell matching solve
 keeps the discrete moments of the remainder at zero, which is what the
-micro-macro decomposition requires of g.
+micro-macro decomposition requires of g.  The matching correction, like the
+micro source, is the cell Maxwellian times a per-cell polynomial in the
+scaled velocity h1, evaluated by `projection.eval_projection`.
 
 The time step keeps each set sorted by cell (`sort_by_cell` after every
 push), so a cell's particles form one contiguous segment: per-cell sums are
@@ -38,7 +40,7 @@ import numpy as np
 
 from .grids import GridSpec, StepWorkspace, step_workspace
 from .model import SpeciesMoments
-from .projection import hermite_gram
+from .projection import eval_projection, hermite_gram
 
 # relative tolerance of the matching residual: a cell is re-solved when a
 # post-match sum exceeds this multiple of the summed magnitudes of its terms.
@@ -156,20 +158,6 @@ def local_maxwellian(
     return LocalMaxwellian(h1=h1, M=M)
 
 
-def horner(coeffs, h1: np.ndarray, spread, out: np.ndarray) -> np.ndarray:
-    """out = sum_j c_j h1^j by Horner's rule, one spread per coefficient.
-
-    coeffs are the polynomial's coefficients c_j, lowest degree first (at
-    least two), as per-cell fields that `spread` maps to the particles
-    (`Cells.repeat` or `Cells.expand`)."""
-    np.multiply(spread(coeffs[-1]), h1, out=out)
-    for c in coeffs[-2:0:-1]:
-        out += spread(c)
-        out *= h1
-    out += spread(coeffs[0])
-    return out
-
-
 def init_particles(g0, grid: GridSpec, Np: int, seed, species: int = 1) -> ParticleSet:
     """Uniform phase-space sampling; w = g0(x, v) * Lx * Lv / Np.
 
@@ -189,7 +177,7 @@ def init_particles(g0, grid: GridSpec, Np: int, seed, species: int = 1) -> Parti
 
 def push(ps: ParticleSet, dt: float, grid: GridSpec) -> ParticleSet:
     """Free transport: x <- wrap(x + v dt); velocities and weights untouched."""
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError("dt must be >= 0")
     x = ps.v * dt
     x += ps.x
@@ -299,13 +287,6 @@ def _hermite_sums(w: np.ndarray, h1: np.ndarray, reduce, tmp: np.ndarray, with_s
     return sums, np.stack([a0, np.sqrt(a0 * a2), a2 + a0], axis=-1)
 
 
-def _correction(a, h1: np.ndarray, M: np.ndarray, spread, out: np.ndarray) -> np.ndarray:
-    """out = [a0 + a1 h1 + a2 (h1^2 - 1)] M, the coefficients spread per cell."""
-    horner((a[..., 0] - a[..., 2], a[..., 1], a[..., 2]), h1, spread, out)
-    out *= M
-    return out
-
-
 def match(
     ps: ParticleSet,
     grid: GridSpec,
@@ -325,14 +306,15 @@ def match(
     well-conditioned.  Each cell is solved once; the post-match sums are
     then measured, and only a cell whose residual exceeds MATCH_RTOL times
     the round-off scale of its sums is re-solved against that residual.
-    The workspace records the largest remaining residual and the number of
-    re-solved cells.  `local` is that basis at the particles (caller order)
+    `local` is that basis at the particles (caller order)
     when the caller already has it, from `local_maxwellian` with the same
     Mk; `cells` is the particles' grouping, built from idx (or x) when
     omitted.
 
-    Returns (matched ParticleSet, number of cells skipped as unsolvable); the
-    weights come back newly allocated, in the caller's particle order.
+    Returns (matched ParticleSet, number of cells skipped as unsolvable,
+    largest post-match per-cell residual of a solved cell, number of
+    re-solved cells); the weights come back newly allocated, in the caller's
+    particle order.
     """
     _, _, th = cell_fields(Mk, mass_ratio, grid.Nx)
     if not np.all(th > 0):
@@ -362,7 +344,7 @@ def match(
     # unsolvable cells keep a = 0, so their weights stay untouched
     a = np.zeros((grid.Nx, 3))
     a[good] = np.linalg.solve(A[good], _hermite_sums(w, h1, cells.sum, tmp)[good][..., None])[..., 0]
-    corr = _correction(a, h1, M, cells.repeat, work.buffer("source", w.size))
+    corr = eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, work.buffer("source", w.size))
     out = np.subtract(w, corr)
 
     r, roundoff = _hermite_sums(out, h1, cells.sum, tmp, with_scale=True)
@@ -370,9 +352,8 @@ def match(
     if refine.size:
         a = np.zeros((grid.Nx, 3))
         a[refine] = np.linalg.solve(A[refine], r[refine][..., None])[..., 0]
-        out -= _correction(a, h1, M, cells.repeat, corr)
+        out -= eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, corr)
         r = _hermite_sums(out, h1, cells.sum, tmp)
-    work.match_residual = float(np.abs(r[good]).max(initial=0.0))
-    work.refined_cells = int(refine.size)
 
-    return ParticleSet(x=ps.x, v=ps.v, w=cells.unsorted(out), species=ps.species), skipped
+    matched = ParticleSet(x=ps.x, v=ps.v, w=cells.unsorted(out), species=ps.species)
+    return matched, skipped, float(np.abs(r[good]).max(initial=0.0)), int(refine.size)

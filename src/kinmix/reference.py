@@ -14,14 +14,16 @@ moments follow a conservative Heun update of U under
 Discrete Maxwellians are renormalized (a 3x3 Hermite solve per cell on the
 Gram matrix of `projection.hermite_gram`, which particle matching solves
 against too) so their grid moments match the target moments exactly, which
-keeps the conservation checks sharp on coarse velocity grids.
+keeps the conservation checks sharp on coarse velocity grids; the
+renormalized rows are evaluated by `projection.eval_projection`, the
+evaluator of the particle path.
 
 The step's (Nx, Nv) temporaries are buffers of a `grids.StepWorkspace` that
 each state hands on to the next (`GridDistribution.work`), written with
 `out=`; the arithmetic is the plain formulas', operation for operation, so a
 buffer changes no bit of a result.  The buffers, each (Nx, Nv):
 
-    "h1", "M", "scratch"    a discrete Maxwellian's h1, M and product term
+    "h1", "M", "scratch"    a discrete Maxwellian's h1, M and Gram products
     "f1", "f2"              the transported species
     "upwind"                an upwind difference, then the relaxed f
     "Mbar"                  the relaxation target
@@ -38,7 +40,7 @@ import numpy as np
 from .grids import GridSpec, StepWorkspace, step_workspace
 from .macrofv import CFLError, moments_from_conserved, relaxation_source, relaxation_substeps
 from .model import MixtureParams, SpeciesMoments, exchange_quantities
-from .projection import hermite_gram
+from .projection import eval_projection, hermite_gram
 
 
 @dataclass
@@ -81,20 +83,14 @@ def discrete_maxwellian_rows(n, u, th, grid: GridSpec, work: StepWorkspace | Non
     M *= h1
     np.exp(M, out=M)
     M *= (n / np.sqrt(2.0 * np.pi * th))[:, None]
-    tmp = work.buffer("scratch", shape)
-    A = hermite_gram(M, h1, lambda a: a @ wq, out=tmp)
+    A = hermite_gram(M, h1, lambda a: a @ wq, out=work.buffer("scratch", shape))
     # target moments against (1, h1, h2) are (n, 0, 0); A's first row holds M's
     r = -A[:, 0, :]
     r[:, 0] += n
     c = np.linalg.solve(A, r[..., None])[..., 0]
-    # M (1 + c0 + c1 h1 + c2 (h1 h1 - 1))
-    h2 = np.multiply(h1, h1, out=tmp)
-    h2 -= 1.0
-    h2 *= c[:, 2, None]
-    poly = np.multiply(h1, c[:, 1, None], out=h1)
-    poly += 1.0 + c[:, 0, None]
-    poly += h2
-    return np.multiply(M, poly)
+    # M (1 + c0 + c1 h1 + c2 (h1 h1 - 1)), on (1, h1, h1^2)
+    coeffs = (1.0 + c[:, 0] - c[:, 2], c[:, 1], c[:, 2])
+    return eval_projection(coeffs, h1, M, lambda a: a[:, None], np.empty(shape))
 
 
 def _upwind_transport(f: np.ndarray, grid: GridSpec, dt: float, work: StepWorkspace, name: str) -> np.ndarray:
@@ -180,10 +176,3 @@ def dvm_step(state: GridDistribution, p: MixtureParams, dt: float) -> GridDistri
     f2 = _upwind_transport(state.f2, grid, dt, work, "f2")
     f1, f2 = _relax(f1, f2, grid, p, dt, work)
     return GridDistribution(f1=f1, f2=f2, grid=grid, t=state.t + dt, work=work)
-
-
-def dvm_run(state: GridDistribution, p: MixtureParams, dt: float, t_end: float) -> GridDistribution:
-    nsteps = int(round(t_end / dt))
-    for _ in range(nsteps):
-        state = dvm_step(state, p, dt)
-    return state

@@ -1,10 +1,12 @@
 """Independent quadrature oracles and reference implementations used across the tests.
 
 Deliberately kept free of package internals beyond the data types: every
-expected value here comes from trapezoid quadrature on a wide fine grid, or
-from a plain per-element loop, so the package is checked against something it
-does not share code with.
+expected value here comes from trapezoid quadrature on a wide fine grid, from
+a closed formula written out in full, or from a plain per-element loop, so the
+package is checked against something it does not share code with.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -105,3 +107,62 @@ def match_two_pass(cell, v, w, n, u, theta, passes=2):
             a = np.linalg.solve(G, basis @ w[sel])
             w[sel] -= (a @ basis) * M
     return w, skipped
+
+
+@dataclass
+class ProjectionCoeffs:
+    """Raw moments (a0, a1, a2) = (<phi>, <(v-u) phi>, <|v-u|^2 phi>) of a
+    projected function phi, with the Maxwellian (n, u, theta) it is
+    projected against; every field broadcasts."""
+
+    a0: np.ndarray | float
+    a1: np.ndarray | float
+    a2: np.ndarray | float
+    n: np.ndarray | float
+    u: np.ndarray | float
+    theta: np.ndarray | float
+
+
+def project_from_moments(Mk, mass_ratio, phi_moments):
+    """Projection of any phi onto span{M, vM, |v|^2 M} of the species
+    Maxwellian Mk (a SpeciesMoments), given phi's three moments."""
+    if not np.all(np.asarray(Mk.n, dtype=float) > 0):
+        raise ValueError("projection undefined for n <= 0")
+    a0, a1, a2 = phi_moments
+    return ProjectionCoeffs(a0=a0, a1=a1, a2=a2, n=Mk.n, u=Mk.u, theta=Mk.T / mass_ratio)
+
+
+def project_cross_maxwellian(Mk, exch, species, mass_ratio):
+    """Closed-form projection of the interaction Maxwellian M_kj (density
+    n_k, the exchange velocity and temperature of `exch`) onto the span of
+    species k's Maxwellian Mk."""
+    if species == 1:
+        ukj, theta_kj = exch.u12, exch.T12  # species-1 interaction Maxwellian carries m1
+    elif species == 2:
+        ukj, theta_kj = exch.u21, exch.T21 / mass_ratio
+    else:
+        raise ValueError("species must be 1 or 2")
+    dukj = ukj - Mk.u
+    return ProjectionCoeffs(
+        a0=Mk.n * np.ones_like(np.asarray(dukj, dtype=float)),
+        a1=Mk.n * dukj,
+        a2=Mk.n * (theta_kj + dukj * dukj),
+        n=Mk.n,
+        u=Mk.u,
+        theta=Mk.T / mass_ratio,
+    )
+
+
+def projection_at(coeffs, v):
+    """Pi(phi)(v) = M(v)/n [a0 + (v-u) a1/theta + ((v-u)^2/(2 theta) - 1/2)
+    (a2/theta - a0)]; broadcasts over v and over array-valued coefficients."""
+    w = v - coeffs.u
+    th = coeffs.theta
+    Mk = gaussian(coeffs.n, coeffs.u, th, v)
+    bracket = coeffs.a0 + w * coeffs.a1 / th + (w * w / (2.0 * th) - 0.5) * (coeffs.a2 / th - coeffs.a0)
+    return bracket * Mk / coeffs.n
+
+
+def complement_at(phi_at_v, coeffs, v):
+    """(1 - Pi)(phi)(v) = phi(v) - Pi(phi)(v)."""
+    return phi_at_v - projection_at(coeffs, v)

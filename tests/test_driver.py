@@ -5,9 +5,11 @@ from kinmix.config import RunConfig
 from kinmix.driver import run, setup_simulation, step
 from kinmix.homogeneous import moment_ode_run
 from kinmix.macrofv import MacroState, PositivityError, conserved_from_moments, moments_from_conserved
-from kinmix.model import MixtureParams, SpeciesMoments, validate_params
+from kinmix.model import ExchangeQuantities, MixtureParams, SpeciesMoments, exchange_quantities, validate_params
 from kinmix.particles import ParticleSet, cell_sums, init_particles
 from kinmix.grids import GridSpec
+
+from oracles import complement_at, gaussian, project_cross_maxwellian, project_from_moments, projection_at, vgrid
 
 
 def equilibrium_state(grid, p):
@@ -30,9 +32,8 @@ def equilibrium_state(grid, p):
 class TestMicroSource:
     def test_transport_source_matches_quadrature_projection(self):
         # -(1 - Pi)(v dx M) from the driver's closed-form Gaussian moments,
-        # checked pointwise against quadrature moments + the projection module
+        # checked pointwise against quadrature moments + the closed-form oracle
         from kinmix.driver import _centered_dx, _micro_source
-        from kinmix.projection import complement_eval, project_from_moments
 
         grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
         x = grid.x_centers
@@ -68,10 +69,69 @@ class TestMicroSource:
         ws = sample - mk.u[c]
         Mv_s = maxw(mloc, 1.0, sample)
         phi1_s = sample * Mv_s * (A[c] + B[c] * ws + Cc[c] * (ws * ws - th[c]))
-        expected = -complement_eval(phi1_s, coeffs, sample)
+        expected = -complement_at(phi1_s, coeffs, sample)
         xs = np.full(sample.size, x[c])
         got = src(xs, sample, 0.0)
         assert np.allclose(got, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("species", [1, 2])
+    def test_full_source_matches_closed_form_projection_at_any_point(self, species):
+        # S = -(1 - Pi)(v dx M_k) + Pi(v dx g) + rate (M_kj - Pi M_kj) at
+        # scattered (x, v), with a nonzero remainder and cross rate and
+        # m2/m1 = 1.5, against the closed-form projection; no shared
+        # Maxwellian, so the source groups the points and evaluates M_k itself
+        from kinmix.driver import _micro_source
+
+        grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
+        xc = grid.x_centers
+        p = validate_params(MixtureParams(eps1=0.5, epst1=0.4, eps2=0.3, epst2=0.2))
+        m1 = SpeciesMoments(n=1.0 + 0.3 * np.cos(xc / 2), u=0.5 + 0.3 * np.sin(xc / 2), T=1.0 + 0.3 * np.cos(xc / 2))
+        m2 = SpeciesMoments(n=1.2 + 0.2 * np.sin(xc / 2), u=-0.5 + 0.2 * np.cos(xc / 2), T=0.6 + 0.2 * np.sin(xc / 2))
+        ex = exchange_quantities(m1, m2, p)
+        if species == 1:
+            mr, mk, n_other, epst = 1.0, m1, m2.n, p.epst1
+            u_cross, theta_cross = ex.u12, ex.T12
+        else:
+            mr, mk, n_other, epst = p.mass_ratio2, m2, m1.n, p.epst2
+            u_cross, theta_cross = ex.u21, ex.T21 / p.mass_ratio2
+        G = np.random.default_rng(8).normal(size=(4, grid.Nx)) * 0.05
+        src, _ = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport=True)
+
+        def ddx(a):
+            return (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * grid.dx)
+
+        n, u, th = mk.n, mk.u, mk.T / mr
+        dn, du, dth = ddx(n), ddx(u), ddx(th)
+
+        def v_dx_maxwellian(c, v):
+            # v dx M_k from the chain rule through (n, u, theta)
+            w = v - u[c]
+            dM = dn[c] / n[c] + du[c] * w / th[c] + dth[c] * (w * w - th[c]) / (2.0 * th[c] ** 2)
+            return v * gaussian(n[c], u[c], th[c], v) * dM
+
+        vq, wq = vgrid(12.0, 4001)
+        cells = np.arange(grid.Nx)[:, None]
+        phi1 = v_dx_maxwellian(cells, vq[None, :])
+        mom1 = [np.sum(wq * (vq[None, :] - u[:, None]) ** k * phi1, axis=1) for k in range(3)]
+        dG1, dG2, dG3 = ddx(G[1]), ddx(G[2]), ddx(G[3])
+        mom_g = (dG1, dG2 - u * dG1, dG3 - 2.0 * u * dG2 + u * u * dG1)
+
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0.0, grid.Lx, 600)
+        v = rng.uniform(-6.0, 6.0, 600)
+        c = np.floor(x / grid.dx).astype(int)
+        mc = SpeciesMoments(n=n[c], u=u[c], T=mk.T[c])
+        exc = ExchangeQuantities(u12=ex.u12[c], T12=ex.T12[c], u21=ex.u21[c], T21=ex.T21[c])
+        rate = p.nu12 * n_other[c] / epst
+        cross = gaussian(n[c], u_cross[c], theta_cross[c], v)
+        expected = (
+            -complement_at(v_dx_maxwellian(c, v), project_from_moments(mc, mr, [m[c] for m in mom1]), v)
+            + projection_at(project_from_moments(mc, mr, [m[c] for m in mom_g]), v)
+            + rate * complement_at(cross, project_cross_maxwellian(mc, exc, species, mr), v)
+        )
+        got = src(x, v, 0.0)
+        assert np.abs(expected).max() > 0.1
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-10)
 
     def test_shared_maxwellian_used_only_for_its_own_arrays(self):
         # the cached cell Maxwellian belongs to one (x, v) pair; the same x

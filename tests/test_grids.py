@@ -4,6 +4,12 @@ import pytest
 from kinmix.grids import GridSpec
 
 
+@pytest.mark.parametrize("field,value", [("Lx", 0.0), ("Lx", np.nan), ("Lv", -1.0), ("Lv", np.nan)])
+def test_nonpositive_or_nan_domain_length_rejected(field, value):
+    with pytest.raises(ValueError, match="domain lengths must be positive"):
+        GridSpec(**{field: value})
+
+
 def test_wrap_equals_mod():
     grid = GridSpec(Lx=4 * np.pi, Nx=16)
     rng = np.random.default_rng(3)

@@ -186,6 +186,13 @@ class TestRelativeEntropy:
         with pytest.raises(ValueError, match="negative"):
             relative_entropy(f, SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0, grid)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+    def test_nonpositive_or_nan_temperature_rejected(self, T):
+        grid = self.grid()
+        f = maxwellian(SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0, grid.v_nodes)
+        with pytest.raises(ValueError, match="requires T > 0"):
+            relative_entropy(f, SpeciesMoments(n=1.0, u=0.0, T=T), 1.0, grid)
+
     def test_nan_sample_rejected(self):
         grid = self.grid()
         m = SpeciesMoments(n=1.0, u=0.0, T=1.0)

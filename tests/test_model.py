@@ -82,6 +82,9 @@ class TestValidateParams:
     def test_positive_masses_and_nu(self):
         with pytest.raises(ParameterError, match="mass"):
             validate_params(params(m2=-1.0))
+        # a NaN mass is named as such, not blamed on delta downstream
+        with pytest.raises(ParameterError, match="masses must be positive"):
+            validate_params(params(m1=np.nan))
         with pytest.raises(ParameterError, match="nu12"):
             validate_params(params(nu12=0.0))
 

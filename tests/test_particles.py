@@ -86,8 +86,10 @@ class TestPush:
     def test_negative_dt_rejected(self):
         grid = GridSpec()
         ps = ParticleSet(x=np.zeros(1), v=np.zeros(1), w=np.zeros(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dt must be >= 0"):
             push(ps, -0.1, grid)
+        with pytest.raises(ValueError, match="dt must be >= 0"):
+            push(ps, np.nan, grid)
 
 
 class TestDeposit:
@@ -113,13 +115,12 @@ class TestDeposit:
         grid = GridSpec(Nx=8, Nv=32)
         ps = init_particles(v4_remainder, grid, 20000, seed=11)
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.full(8, 5.0))
-        work = StepWorkspace()
-        ps, skipped = match(ps, grid, mk, 1.0, work=work)
+        ps, skipped, residual, refined = match(ps, grid, mk, 1.0, work=StepWorkspace())
         assert skipped == 0
         G = deposit(ps, grid)
         assert np.max(np.abs(G[:3])) < 1e-12
         # well conditioned: one solve per cell is exact to round-off
-        assert work.refined_cells == 0 and 0.0 < work.match_residual < 1e-12
+        assert refined == 0 and 0.0 < residual < 1e-12
 
 
 class TestUpdateWeights:
@@ -196,7 +197,7 @@ class TestMatch:
 
     def test_hand_solved_three_particle_cell(self):
         grid, ps, mk = self.hand_case()
-        out, skipped = match(ps, grid, mk, 1.0)
+        out, skipped = match(ps, grid, mk, 1.0)[:2]
         assert skipped == 0
         sums = cell_sums(out, grid)
         assert np.max(np.abs(sums)) < 1e-12
@@ -212,8 +213,8 @@ class TestMatch:
         grid = GridSpec(Nx=8, Nv=32)
         ps = init_particles(v4_remainder, grid, 20000, seed=13)
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.full(8, 5.0))
-        once, _ = match(ps, grid, mk, 1.0)
-        twice, _ = match(once, grid, mk, 1.0)
+        once = match(ps, grid, mk, 1.0)[0]
+        twice = match(once, grid, mk, 1.0)[0]
         assert np.max(np.abs(twice.w - once.w)) < 1e-12
 
     def test_undersampled_cell_skipped(self):
@@ -224,7 +225,7 @@ class TestMatch:
         w = np.ones(6)
         ps = ParticleSet(x=x, v=v, w=w)
         mk = SpeciesMoments(n=np.ones(2), u=np.zeros(2), T=np.ones(2))
-        out, skipped = match(ps, grid, mk, 1.0)
+        out, skipped = match(ps, grid, mk, 1.0)[:2]
         assert skipped == 1
         assert np.array_equal(out.w[:2], w[:2])  # untouched cell
         assert np.max(np.abs(cell_sums(out, grid)[:, 1])) < 1e-12
@@ -239,7 +240,7 @@ class TestMatch:
         grid = GridSpec(Lx=1.0, Nx=1, Lv=4.0, Nv=8)
         ps = ParticleSet(x=np.full(4, 0.5), v=np.full(4, 0.3), w=np.ones(4))
         mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.ones(1))
-        out, skipped = match(ps, grid, mk, 1.0)
+        out, skipped = match(ps, grid, mk, 1.0)[:2]
         assert skipped == 1
         assert np.array_equal(out.w, ps.w)
 
@@ -255,7 +256,7 @@ class TestMatch:
             w=rng.normal(size=Np) * 0.1,
         )
         mk = SpeciesMoments(n=np.full(4, 1.1), u=np.full(4, 0.2), T=np.full(4, 0.8))
-        out, skipped = match(ps, grid, mk, 1.0)
+        out, skipped = match(ps, grid, mk, 1.0)[:2]
         assert skipped == 0
 
         factor = grid.Lx * grid.Lv / Np
@@ -277,7 +278,7 @@ class TestMatch:
         ps = init_particles(v4_remainder, grid, 8000, seed=17)
         mk = SpeciesMoments(n=np.ones(4), u=np.zeros(4), T=np.full(4, 5.0))
         before = deposit(ps, grid)[3].copy()
-        out, _ = match(ps, grid, mk, 1.0)
+        out = match(ps, grid, mk, 1.0)[0]
         after = deposit(out, grid)[3]
         assert not np.allclose(before, after, atol=1e-12)
 
@@ -331,8 +332,8 @@ class TestSortedLayout:
         src = lambda x, v, t: np.cos(v)  # noqa: E731
         got = update_weights(ps, src, lam, 0.1, grid, cells=cells)
         assert np.array_equal(got.w, update_weights(ps, src, lam, 0.1, grid).w)
-        a, sk_a = match(ps, grid, mk, 1.0, idx=cells.key, cells=cells)
-        b, sk_b = match(ps, grid, mk, 1.0)
+        a, sk_a = match(ps, grid, mk, 1.0, idx=cells.key, cells=cells)[:2]
+        b, sk_b = match(ps, grid, mk, 1.0)[:2]
         assert sk_a == sk_b and np.array_equal(a.w, b.w)
 
     @pytest.mark.parametrize("Nx", [8, 1])
@@ -360,8 +361,8 @@ class TestSortedLayout:
         grid, ps = self.set_for(Nx)
         mk = SpeciesMoments(n=np.full(Nx, 1.1), u=np.full(Nx, 0.2), T=np.full(Nx, 1.3))
         shuf, perm = self.shuffled(ps)
-        a, skipped_a = match(ps, grid, mk, 1.0)
-        b, skipped_b = match(shuf, grid, mk, 1.0)
+        a, skipped_a = match(ps, grid, mk, 1.0)[:2]
+        b, skipped_b = match(shuf, grid, mk, 1.0)[:2]
         # cells holding one or two particles cannot be solved and are counted
         assert skipped_a == skipped_b == (2 if Nx > 1 else 0)
         assert np.array_equal(b.x, shuf.x) and np.array_equal(b.v, shuf.v)
@@ -414,7 +415,7 @@ class TestAdaptiveMatch:
     def test_agrees_with_two_pass_oracle(self, case):
         grid, ps = self.cases()[case]
         n, u, T = np.full(grid.Nx, 1.1), np.full(grid.Nx, 0.2), np.full(grid.Nx, 1.3)
-        out, skipped = match(ps, grid, SpeciesMoments(n=n, u=u, T=T), 1.0)
+        out, skipped = match(ps, grid, SpeciesMoments(n=n, u=u, T=T), 1.0)[:2]
         w_ref, skipped_ref = match_two_pass(grid.cell_index(ps.x), ps.v, ps.w, n, u, T)
         assert skipped == skipped_ref
         assert np.max(np.abs(out.w - w_ref)) <= 1e-13 * np.max(np.abs(ps.w))
@@ -423,7 +424,7 @@ class TestAdaptiveMatch:
         grid, ps = self.cases()["mixed-shuffled"]
         w0 = ps.w.copy()
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.ones(8))
-        out, _ = match(ps, grid, mk, 1.0, work=StepWorkspace())
+        out = match(ps, grid, mk, 1.0, work=StepWorkspace())[0]
         assert np.array_equal(ps.w, w0) and not np.shares_memory(out.w, ps.w)
 
     def test_inexact_first_solve_is_refined_below_tolerance(self):
@@ -449,9 +450,8 @@ class TestAdaptiveMatch:
         r, scale = residual_and_scale(w_once)
         assert np.any(r > 100.0 * MATCH_RTOL * scale)
 
-        work = StepWorkspace()
-        out, skipped = match(ps, grid, mk, 1.0, work=work)
-        assert skipped == 0 and work.refined_cells == 1
+        out, skipped, residual, refined = match(ps, grid, mk, 1.0, work=StepWorkspace())
+        assert skipped == 0 and refined == 1
         r, scale = residual_and_scale(out.w)
         assert np.all(r <= MATCH_RTOL * scale)
-        assert work.match_residual <= MATCH_RTOL * scale.max()
+        assert residual <= MATCH_RTOL * scale.max()

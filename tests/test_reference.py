@@ -13,13 +13,19 @@ from kinmix.reference import (
     GridDistribution,
     cellwise_moments,
     discrete_maxwellian_rows,
-    dvm_run,
     dvm_step,
 )
 
 from oracles import min_value
 
 P1 = validate_params(MixtureParams())
+
+
+def dvm_run(state, p, dt, t_end):
+    """Step a grid distribution from its time to t_end in steps of dt."""
+    for _ in range(int(round(t_end / dt))):
+        state = dvm_step(state, p, dt)
+    return state
 
 
 def v4_profile(v):
