@@ -8,13 +8,14 @@ One step, in this fixed order: push particles and sort them back into cell
 order, deposit and differentiate the kinetic moments, advance the macro
 state, rebuild the Maxwellian fields and update particle weights (Duhamel
 against the per-cell damping rate), then re-match so every cell's remainder
-keeps zero discrete moments.
+keeps zero discrete moments.  A species relaxes through its
+`model.relaxations` view, at the damping rate intra + inter.
 
 The micro source for species k combines three pieces that all project onto
 the same local Maxwellian span, so their projections are assembled from one
 summed moment triple per cell:
 
-    S = -(1 - Pi)(v dx M_k) + Pi(v dx g_kk) + (nu12 n_j / epst_k)(M_kj - Pi M_kj)
+    S = -(1 - Pi)(v dx M_k) + Pi(v dx g_kk) + inter (M_kj - Pi M_kj)
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .config import RunConfig, build_initial_condition, mixture_params
 from .grids import GridSpec, StepWorkspace, step_workspace
 from .homogeneous import analytic_temperature_gap, analytic_velocity_gap, moment_ode_step
 from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
-from .model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian
+from .model import MixtureParams, Relaxation, SpeciesMoments, exchange_quantities, maxwellian, relaxations
 from .particles import (
     Cells,
     ParticleSet,
@@ -39,7 +40,7 @@ from .particles import (
     sort_by_cell,
     update_weights,
 )
-from .projection import bracket, eval_projection
+from .projection import bracket, eval_projection, maxwellian_samples
 from . import reference
 
 
@@ -75,24 +76,19 @@ def _centered_dx(arr: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _micro_source(
-    species: int,
+    sp: Relaxation,
     grid: GridSpec,
-    mk: SpeciesMoments,
-    n_other: np.ndarray,
-    u_cross,
-    theta_cross,
-    p: MixtureParams,
     g_moments,
     transport: bool,
     shared=None,
     work: StepWorkspace | None = None,
 ):
     """Vectorized micro source S(x, v) for one species plus its per-cell
-    damping rate.
+    damping rate intra + inter.
 
-    mk holds the per-cell fields of species k; (u_cross, theta_cross) are the
-    interaction-Maxwellian parameters, g_moments the deposited remainder
-    moments (rows <g>, <vg>, <v^2 g>, <v^3 g>) or None when transport is off.
+    sp is the species' relaxation view (`model.relaxations`), g_moments the
+    deposited remainder moments (rows <g>, <vg>, <v^2 g>, <v^3 g>) or None
+    when transport is off.
     shared is an optional (positions, velocities, Cells, LocalMaxwellian)
     tuple reused when the source is evaluated at exactly those two arrays.
     The source is written into the workspace's "source" buffer (a new array
@@ -106,14 +102,11 @@ def _micro_source(
     per-cell coefficients, which `projection.eval_projection` evaluates
     against M_k.
     """
-    mr = 1.0 if species == 1 else p.mass_ratio2
-    eps_k = p.eps1 if species == 1 else p.eps2
-    epst_k = p.epst1 if species == 1 else p.epst2
-    n, u, th = cell_fields(mk, mr, grid.Nx)
-    rate = p.nu12 * np.asarray(n_other, dtype=float) / epst_k
+    n, u, th = cell_fields(sp.moments, sp.mr, grid.Nx)
+    rate, theta_cross = sp.inter, sp.T_cross / sp.mr
 
     # moments of the interaction Maxwellian against (1, v-u, |v-u|^2)
-    duc = u_cross - u
+    duc = sp.u_cross - u
     comb0 = -rate * n
     comb1 = -rate * (n * duc)
     comb2 = -rate * (n * (theta_cross + duc * duc))
@@ -142,45 +135,32 @@ def _micro_source(
         Q0, Q1, Q2 = A - Cc * th, B * sig, Cc * th
         poly = (poly[0] - u * Q0, poly[1] - u * Q1 - sig * Q0, poly[2] - u * Q2 - sig * Q1, -sig * Q2)
 
-    # rate * M_kj(v) = amp * exp(-((v - u_cross) / sigma_cross)^2 / 2)
-    thc = np.asarray(theta_cross, dtype=float)
-    uc = np.asarray(u_cross, dtype=float)
-    inv_sig_c = 1.0 / np.sqrt(thc)
-    amp_c = rate * n / np.sqrt(2.0 * np.pi * thc)
-
-    def source_eval(x, v, t):
+    def source_eval(x, v):
         if shared is not None and x is shared[0] and v is shared[1]:
             cells, loc = shared[2], shared[3]
         else:
             cells = Cells(grid, x)
-            loc = local_maxwellian(v, cells, mk, mr)
+            loc = local_maxwellian(v, cells, sp.moments, sp.mr)
         ws = step_workspace(work)
         out = eval_projection(poly, loc.h1, loc.M, cells.expand, ws.buffer("source", v.size))
-        z = np.subtract(v, cells.expand(uc), out=ws.buffer("scratch", v.size))
-        z *= cells.expand(inv_sig_c)
-        np.square(z, out=z)
-        z *= -0.5
-        np.exp(z, out=z)
-        z *= cells.expand(amp_c)
-        out += z
+        # rate M_kj(v), into one buffer
+        z = ws.buffer("scratch", v.size)
+        out += maxwellian_samples(v, sp.u_cross, theta_cross, rate * n, cells.expand, z, z)
         return out
 
-    lam = p.nu12 * (n / eps_k + np.asarray(n_other, dtype=float) / epst_k)
-    return source_eval, lam
+    return source_eval, sp.intra + sp.inter
 
 
-def _relax_particles(species, ps, cells, mk, n_other, u_cross, theta_cross, p, G, grid, dt, t, transport, work):
+def _relax_particles(sp: Relaxation, ps, cells, G, grid, dt, transport, work):
     """Weight update and matching of one cell-sorted species grouped by
     `cells`, through the buffers of `work`; the cell Maxwellian at its
     particles is evaluated once and shared by the source, the update and the
     matching.  Returns (matched set, skipped cells, largest post-match
     residual, re-solved cells)."""
-    mr = 1.0 if species == 1 else p.mass_ratio2
-    loc = local_maxwellian(ps.v, cells, mk, mr, work)
-    shared = (ps.x, ps.v, cells, loc)
-    se, lam = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport, shared, work)
-    ps = update_weights(ps, se, lam, dt, grid, t, cells=cells, work=work)
-    return match(ps, grid, mk, mr, idx=cells.key, local=loc, cells=cells, work=work)
+    loc = local_maxwellian(ps.v, cells, sp.moments, sp.mr, work)
+    se, lam = _micro_source(sp, grid, G, transport, (ps.x, ps.v, cells, loc), work)
+    ps = update_weights(ps, se, lam, dt, grid, cells=cells, work=work)
+    return match(ps, grid, sp.moments, sp.mr, idx=cells.key, local=loc, cells=cells, work=work)
 
 
 def step(
@@ -223,10 +203,10 @@ def step(
 
     m1 = moments_from_conserved(macro.U1, 1.0, where="(species 1)")
     m2 = moments_from_conserved(macro.U2, mr2, where="(species 2)")
-    ex = exchange_quantities(m1, m2, p)
+    sp1, sp2 = relaxations(m1, m2, exchange_quantities(m1, m2, p), p)
 
-    ps1, sk1, res1, ref1 = _relax_particles(1, ps1, cells1, m1, m2.n, ex.u12, ex.T12, p, G1, grid, dt, macro.t, transport, work)
-    ps2, sk2, res2, ref2 = _relax_particles(2, ps2, cells2, m2, m1.n, ex.u21, ex.T21 / mr2, p, G2, grid, dt, macro.t, transport, work)
+    ps1, sk1, res1, ref1 = _relax_particles(sp1, ps1, cells1, G1, grid, dt, transport, work)
+    ps2, sk2, res2, ref2 = _relax_particles(sp2, ps2, cells2, G2, grid, dt, transport, work)
 
     return (
         SimState(macro=macro, ps1=ps1, ps2=ps2, work=work),
@@ -283,8 +263,8 @@ def setup_simulation(cfg: RunConfig):
     )
     ss = np.random.SeedSequence(cfg.seed)
     s1, s2 = ss.spawn(2)
-    ps1 = init_particles(ic.g1, grid, cfg.Np1, s1, species=1)
-    ps2 = init_particles(ic.g2, grid, cfg.Np2, s2, species=2)
+    ps1 = init_particles(ic.g1, grid, cfg.Np1, s1)
+    ps2 = init_particles(ic.g2, grid, cfg.Np2, s2)
     return grid, p, SimState(macro=macro, ps1=ps1, ps2=ps2)
 
 

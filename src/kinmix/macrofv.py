@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MixtureParams, SpeciesMoments, exchange_quantities
+from .model import MixtureParams, SpeciesMoments, exchange_quantities, relaxations
 
 
 class CFLError(RuntimeError):
@@ -79,19 +79,16 @@ def numerical_flux(U_left: np.ndarray, U_right: np.ndarray, mass_ratio: float) -
 
 def exchange_increment(m1: SpeciesMoments, m2: SpeciesMoments, p: MixtureParams):
     """d/dt of (n1 u1, E1, n2 u2, E2), E_k = n_k(theta_k + u_k^2), from
-    interspecies relaxation: nu12 n_j/epst_k times the moment gap between
-    the interaction Maxwellian M_kj and M_k.  The densities do not change,
-    and the momentum/energy rates cancel under the m2/m1 weighting."""
-    mr2 = p.mass_ratio2
-    ex = exchange_quantities(m1, m2, p)
-    b1 = p.nu12 * m2.n / p.epst1
-    b2 = p.nu12 * m1.n / p.epst2
-    return (
-        b1 * (m1.n * (ex.u12 - m1.u)),
-        b1 * (m1.n * (ex.T12 + ex.u12**2 - m1.T - m1.u**2)),
-        b2 * (m2.n * (ex.u21 - m2.u)),
-        b2 * (m2.n * ((ex.T21 - m2.T) / mr2 + ex.u21**2 - m2.u**2)),
-    )
+    interspecies relaxation: each view's rate `inter` times the moment gap
+    between the interaction Maxwellian M_kj and M_k.  The densities do not
+    change, and the momentum/energy rates cancel under the m2/m1 weighting."""
+    out = ()
+    for sp in relaxations(m1, m2, exchange_quantities(m1, m2, p), p):
+        m = sp.moments
+        dP = m.n * (sp.u_cross - m.u)
+        dE = m.n * ((sp.T_cross - m.T) / sp.mr + sp.u_cross**2 - m.u**2)
+        out += (sp.inter * dP, sp.inter * dE)
+    return out
 
 
 def relaxation_source(U1: np.ndarray, U2: np.ndarray, p: MixtureParams):

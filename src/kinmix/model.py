@@ -113,6 +113,28 @@ def exchange_quantities(M1: SpeciesMoments, M2: SpeciesMoments, p: MixtureParams
     return ExchangeQuantities(u12=u12, T12=T12, u21=u21, T21=T21)
 
 
+@dataclass(frozen=True)
+class Relaxation:
+    """Species k's mass ratio and moments, its rates toward M_k (`intra`)
+    and toward M_kj (`inter`), and M_kj's velocity and temperature; every
+    solver reads a species' relaxation from this view."""
+
+    mr: float
+    moments: SpeciesMoments
+    intra: np.ndarray | float
+    inter: np.ndarray | float
+    u_cross: np.ndarray | float
+    T_cross: np.ndarray | float
+
+
+def relaxations(m1: SpeciesMoments, m2: SpeciesMoments, ex: ExchangeQuantities, p: MixtureParams):
+    """The views of species 1 and 2, given ex = exchange_quantities(m1, m2, p)."""
+    return (
+        Relaxation(1.0, m1, p.nu12 * m1.n / p.eps1, p.nu12 * m2.n / p.epst1, ex.u12, ex.T12),
+        Relaxation(p.mass_ratio2, m2, p.nu12 * m2.n / p.eps2, p.nu12 * m1.n / p.epst2, ex.u21, ex.T21),
+    )
+
+
 def maxwellian(M: SpeciesMoments, mass_ratio: float, v):
     """n sqrt(mr/(2 pi T)) exp(-mr |v-u|^2 / (2T)), broadcast over v."""
     T = np.asarray(M.T, dtype=float)

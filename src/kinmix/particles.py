@@ -5,8 +5,8 @@ weights w = g * Lx * Lv / Np.  Transport pushes positions, the stiff part of
 the source is integrated exactly (Duhamel), and a per-cell matching solve
 keeps the discrete moments of the remainder at zero, which is what the
 micro-macro decomposition requires of g.  The matching correction, like the
-micro source, is the cell Maxwellian times a per-cell polynomial in the
-scaled velocity h1, evaluated by `projection.eval_projection`.
+micro source, is the cell Maxwellian (`projection.maxwellian_samples`) times
+a per-cell polynomial in h1, evaluated by `projection.eval_projection`.
 
 The time step keeps each set sorted by cell (`sort_by_cell` after every
 push), so a cell's particles form one contiguous segment: per-cell sums are
@@ -40,7 +40,7 @@ import numpy as np
 
 from .grids import GridSpec, StepWorkspace, step_workspace
 from .model import SpeciesMoments
-from .projection import eval_projection, hermite_gram
+from .projection import eval_projection, hermite_gram, maxwellian_samples
 
 # relative tolerance of the matching residual: a cell is re-solved when a
 # post-match sum exceeds this multiple of the summed magnitudes of its terms.
@@ -54,7 +54,6 @@ class ParticleSet:
     x: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    species: int = 1
 
     def __post_init__(self):
         if not (self.x.shape == self.v.shape == self.w.shape):
@@ -149,16 +148,11 @@ def local_maxwellian(
     if not np.all(th > 0):
         raise ValueError("the cell Maxwellian requires T > 0 in every cell")
     work = step_workspace(work)
-    h1 = np.subtract(v, cells.expand(u), out=work.buffer("h1", v.size))
-    h1 *= cells.expand(1.0 / np.sqrt(th))
-    M = np.square(h1, out=work.buffer("M", v.size))
-    M *= -0.5
-    np.exp(M, out=M)
-    M *= cells.expand(n / np.sqrt(2.0 * np.pi * th))
-    return LocalMaxwellian(h1=h1, M=M)
+    h1 = work.buffer("h1", v.size)
+    return LocalMaxwellian(h1=h1, M=maxwellian_samples(v, u, th, n, cells.expand, h1, work.buffer("M", v.size)))
 
 
-def init_particles(g0, grid: GridSpec, Np: int, seed, species: int = 1) -> ParticleSet:
+def init_particles(g0, grid: GridSpec, Np: int, seed) -> ParticleSet:
     """Uniform phase-space sampling; w = g0(x, v) * Lx * Lv / Np.
 
     g0 must be vectorized over (x, v).  seed is an int or SeedSequence;
@@ -172,7 +166,7 @@ def init_particles(g0, grid: GridSpec, Np: int, seed, species: int = 1) -> Parti
     w = np.asarray(g0(x, v), dtype=float) * (grid.Lx * grid.Lv / Np)
     if w.shape != x.shape:
         w = np.broadcast_to(w, x.shape).copy()
-    return ParticleSet(x=x, v=v, w=w, species=species)
+    return ParticleSet(x=x, v=v, w=w)
 
 
 def push(ps: ParticleSet, dt: float, grid: GridSpec) -> ParticleSet:
@@ -181,7 +175,7 @@ def push(ps: ParticleSet, dt: float, grid: GridSpec) -> ParticleSet:
         raise ValueError("dt must be >= 0")
     x = ps.v * dt
     x += ps.x
-    return ParticleSet(x=grid.wrap(x, out=x), v=ps.v, w=ps.w, species=ps.species)
+    return ParticleSet(x=grid.wrap(x, out=x), v=ps.v, w=ps.w)
 
 
 def sort_by_cell(ps: ParticleSet, grid: GridSpec):
@@ -193,15 +187,15 @@ def sort_by_cell(ps: ParticleSet, grid: GridSpec):
     cells = Cells(grid, ps.x)
     if cells.order is not None:
         o = cells.order
-        ps = ParticleSet(x=np.take(ps.x, o), v=np.take(ps.v, o), w=np.take(ps.w, o), species=ps.species)
+        ps = ParticleSet(x=np.take(ps.x, o), v=np.take(ps.v, o), w=np.take(ps.w, o))
         cells.order = None
     return ps, cells
 
 
-def _weighted_sums(ps: ParticleSet, grid: GridSpec, idx, rows: int, cells: Cells | None) -> np.ndarray:
+def _weighted_sums(ps: ParticleSet, grid: GridSpec, rows: int, cells: Cells | None) -> np.ndarray:
     """Per-cell sums of w v^j for j < rows, shape (rows, Nx)."""
     if cells is None:
-        cells = Cells(grid, ps.x, idx)
+        cells = Cells(grid, ps.x)
     v, wk = cells.sorted(ps.v), cells.sorted(ps.w)
     out = np.empty((rows, grid.Nx))
     for j in range(rows):
@@ -211,19 +205,17 @@ def _weighted_sums(ps: ParticleSet, grid: GridSpec, idx, rows: int, cells: Cells
     return out
 
 
-def deposit(ps: ParticleSet, grid: GridSpec, idx: np.ndarray | None = None, cells: Cells | None = None) -> np.ndarray:
-    """Per-cell NGP moments, shape (4, Nx): (<g>, <vg>, <v^2 g>, <v^3 g>)/dx.
-
-    idx (the particles' cell indices) or cells (their grouping) spare the
-    recomputation when the caller has either."""
-    out = _weighted_sums(ps, grid, idx, 4, cells)
+def deposit(ps: ParticleSet, grid: GridSpec, cells: Cells | None = None) -> np.ndarray:
+    """Per-cell NGP moments, shape (4, Nx): (<g>, <vg>, <v^2 g>, <v^3 g>)/dx;
+    cells (the particles' grouping) spares regrouping when the caller has it."""
+    out = _weighted_sums(ps, grid, 4, cells)
     out /= grid.dx
     return out
 
 
-def cell_sums(ps: ParticleSet, grid: GridSpec, idx: np.ndarray | None = None) -> np.ndarray:
+def cell_sums(ps: ParticleSet, grid: GridSpec) -> np.ndarray:
     """Raw per-cell sums (sum w, sum w v, sum w v^2), shape (3, Nx)."""
-    return _weighted_sums(ps, grid, idx, 3, None)
+    return _weighted_sums(ps, grid, 3, None)
 
 
 def update_weights(
@@ -232,7 +224,6 @@ def update_weights(
     lam,
     dt: float,
     grid: GridSpec,
-    t: float = 0.0,
     cells: Cells | None = None,
     work: StepWorkspace | None = None,
 ) -> ParticleSet:
@@ -240,7 +231,7 @@ def update_weights(
 
     dw/dt = -lam w + s with s frozen over the step gives
     w <- w e^{-lam dt} + (1 - e^{-lam dt})/lam * s; lam -> 0 degrades to
-    forward Euler.  source_eval(x, v, t) is the non-stiff micro source,
+    forward Euler.  source_eval(x, v) is the non-stiff micro source,
     vectorized; lam is one damping rate per cell, shape (Nx,), or a scalar.
     The decay and gain factors are formed per cell and then spread over the
     cell's particles (cells: their grouping, built when omitted).  The new
@@ -253,7 +244,7 @@ def update_weights(
     if lam.ndim and lam.shape != (grid.Nx,):
         raise ValueError("damping rate must be a scalar or one rate per cell")
     lam = np.broadcast_to(lam, (grid.Nx,))
-    s = np.asarray(source_eval(ps.x, ps.v, t), dtype=float)
+    s = np.asarray(source_eval(ps.x, ps.v), dtype=float)
     decay = np.exp(-lam * dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = np.where(lam > 0.0, -np.expm1(-lam * dt) / np.where(lam > 0.0, lam, 1.0), dt)
@@ -264,7 +255,7 @@ def update_weights(
     gain = cells.expand(gain)
     gain *= s
     w += gain
-    return ParticleSet(x=ps.x, v=ps.v, w=w, species=ps.species)
+    return ParticleSet(x=ps.x, v=ps.v, w=w)
 
 
 def _hermite_sums(w: np.ndarray, h1: np.ndarray, reduce, tmp: np.ndarray, with_scale: bool = False):
@@ -309,7 +300,8 @@ def match(
     `local` is that basis at the particles (caller order)
     when the caller already has it, from `local_maxwellian` with the same
     Mk; `cells` is the particles' grouping, built from idx (or x) when
-    omitted.
+    omitted.  idx stays although `cells` carries the same indices: the
+    benchmark's traced runs count the populated cells from it.
 
     Returns (matched ParticleSet, number of cells skipped as unsolvable,
     largest post-match per-cell residual of a solved cell, number of
@@ -355,5 +347,5 @@ def match(
         out -= eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, corr)
         r = _hermite_sums(out, h1, cells.sum, tmp)
 
-    matched = ParticleSet(x=ps.x, v=ps.v, w=cells.unsorted(out), species=ps.species)
+    matched = ParticleSet(x=ps.x, v=ps.v, w=cells.unsorted(out))
     return matched, skipped, float(np.abs(r[good]).max(initial=0.0)), int(refine.size)

@@ -2,10 +2,12 @@
 
 Every projection here is the Maxwellian M times a polynomial in its scaled
 velocity h1 = (v - u)/sigma, sigma^2 = theta = T/m, with per-cell
-coefficients on (1, h1, h1^2).  `bracket` turns a function's three moments
-into those coefficients in closed form, and `eval_projection` evaluates any
-such product on samples: the micro source, the particle matching correction
-and the reference solver's discrete Maxwellians all go through it.
+coefficients on (1, h1, h1^2); every cell Maxwellian at samples, with its
+h1, comes from `maxwellian_samples`.  `bracket` turns a function's three
+moments into those coefficients in closed form, and `eval_projection`
+evaluates any such product on samples: the micro source, the particle
+matching correction and the reference solver's discrete Maxwellians all go
+through it.
 
 Where the span has to be matched on samples rather than in closed form (the
 particle matching solve, the reference solver's moment-pinned discrete
@@ -14,6 +16,19 @@ Maxwellians), both solve against the one Gram matrix of `hermite_gram`.
 from __future__ import annotations
 
 import numpy as np
+
+
+def maxwellian_samples(v, u, th, amp, spread, h1: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M = amp exp(-h1^2/2)/sqrt(2 pi th), h1 = (v - u)/sqrt(th), at the
+    samples v, into `h1` and `M` (which may be h1's buffer); returns M.  The
+    per-cell fields reach the samples through `spread`, as in `eval_projection`."""
+    np.subtract(v, spread(u), out=h1)
+    h1 *= spread(1.0 / np.sqrt(th))
+    np.square(h1, out=M)
+    M *= -0.5
+    np.exp(M, out=M)
+    M *= spread(amp / np.sqrt(2.0 * np.pi * th))
+    return M
 
 
 def bracket(m0, m1, m2, n, th):

@@ -11,12 +11,13 @@ finite-volume solver carries, and moments come back out of U through
 `macrofv.moments_from_conserved` with its positivity check.  The cell
 moments follow a conservative Heun update of U under
 `macrofv.relaxation_source`, sub-stepped by `macrofv.relaxation_substeps`.
-Discrete Maxwellians are renormalized (a 3x3 Hermite solve per cell on the
-Gram matrix of `projection.hermite_gram`, which particle matching solves
-against too) so their grid moments match the target moments exactly, which
-keeps the conservation checks sharp on coarse velocity grids; the
-renormalized rows are evaluated by `projection.eval_projection`, the
-evaluator of the particle path.
+Each species relaxes through its `model.relaxations` view.  Discrete
+Maxwellians are sampled by `projection.maxwellian_samples` and renormalized
+(a 3x3 Hermite solve per cell on the Gram matrix of `projection.hermite_gram`,
+which particle matching solves against too) so their grid moments match the
+target moments exactly, which keeps the conservation checks sharp on coarse
+velocity grids; the renormalized rows are evaluated by
+`projection.eval_projection`, the evaluator of the particle path.
 
 The step's (Nx, Nv) temporaries are buffers of a `grids.StepWorkspace` that
 each state hands on to the next (`GridDistribution.work`), written with
@@ -39,8 +40,8 @@ import numpy as np
 
 from .grids import GridSpec, StepWorkspace, step_workspace
 from .macrofv import CFLError, moments_from_conserved, relaxation_source, relaxation_substeps
-from .model import MixtureParams, SpeciesMoments, exchange_quantities
-from .projection import eval_projection, hermite_gram
+from .model import MixtureParams, SpeciesMoments, exchange_quantities, relaxations
+from .projection import eval_projection, hermite_gram, maxwellian_samples
 
 
 @dataclass
@@ -76,13 +77,8 @@ def discrete_maxwellian_rows(n, u, th, grid: GridSpec, work: StepWorkspace | Non
     n, u, th = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (n, u, th)))
     work = step_workspace(work)
     shape = (n.size, grid.Nv)
-    # h1 = (v - u)/sqrt(th), M = n/sqrt(2 pi th) exp(-0.5 h1 h1)
-    h1 = np.subtract(v, u[:, None], out=work.buffer("h1", shape))
-    h1 /= np.sqrt(th)[:, None]
-    M = np.multiply(h1, -0.5, out=work.buffer("M", shape))
-    M *= h1
-    np.exp(M, out=M)
-    M *= (n / np.sqrt(2.0 * np.pi * th))[:, None]
+    h1 = work.buffer("h1", shape)
+    M = maxwellian_samples(v, u, th, n, lambda a: a[:, None], h1, work.buffer("M", shape))
     A = hermite_gram(M, h1, lambda a: a @ wq, out=work.buffer("scratch", shape))
     # target moments against (1, h1, h2) are (n, 0, 0); A's first row holds M's
     r = -A[:, 0, :]
@@ -132,24 +128,18 @@ def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt:
     with the cell moments advanced conservatively and then re-pinned;
     returns the relaxed (f1, f2).  A non-positive or NaN cell density or
     temperature raises `PositivityError` naming the species."""
-    mr2 = p.mass_ratio2
     U1, U2 = conserved(f1, grid), conserved(f2, grid)
     m1 = moments_from_conserved(U1, 1.0, "(species 1)")
-    m2 = moments_from_conserved(U2, mr2, "(species 2)")
-    ex = exchange_quantities(m1, m2, p)
-    C1, C2 = _heun_exchange(U1, U2, p, dt)
+    m2 = moments_from_conserved(U2, p.mass_ratio2, "(species 2)")
+    views = relaxations(m1, m2, exchange_quantities(m1, m2, p), p)
     out = []
-    for f, m, C, mr, n_other, eps, epst, u_cross, T_cross in (
-        (f1, m1, C1, 1.0, m2.n, p.eps1, p.epst1, ex.u12, ex.T12),
-        (f2, m2, C2, mr2, m1.n, p.eps2, p.epst2, ex.u21, ex.T21),
-    ):
-        a = p.nu12 * m.n / eps
-        b = p.nu12 * n_other / epst
-        lam = a + b
+    for f, sp, C in zip((f1, f2), views, _heun_exchange(U1, U2, p, dt)):
+        m, mr = sp.moments, sp.mr
+        lam = sp.intra + sp.inter
         Mbar = work.buffer("Mbar", f.shape)
         fr = work.buffer("upwind", f.shape)
-        np.multiply(a[:, None], discrete_maxwellian_rows(m.n, m.u, m.T / mr, grid, work), out=Mbar)
-        np.multiply(b[:, None], discrete_maxwellian_rows(m.n, u_cross, T_cross / mr, grid, work), out=fr)
+        np.multiply(sp.intra[:, None], discrete_maxwellian_rows(m.n, m.u, m.T / mr, grid, work), out=Mbar)
+        np.multiply(sp.inter[:, None], discrete_maxwellian_rows(m.n, sp.u_cross, sp.T_cross / mr, grid, work), out=fr)
         Mbar += fr
         Mbar /= lam[:, None]
         # Mbar + (f - Mbar) e^{-lam dt}
@@ -159,7 +149,8 @@ def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt:
         # pin the grid moments to the conservative moment update C
         c, g = moments_from_conserved(C, mr), cellwise_moments(fr, grid, mr)
         fr += discrete_maxwellian_rows(c.n, c.u, c.T / mr, grid, work)
-        out.append(np.subtract(fr, discrete_maxwellian_rows(g.n, g.u, g.T / mr, grid, work)))
+        fr -= discrete_maxwellian_rows(g.n, g.u, g.T / mr, grid, work)
+        out.append(fr.copy())
     return tuple(out)
 
 

@@ -5,7 +5,15 @@ from kinmix.config import RunConfig
 from kinmix.driver import run, setup_simulation, step
 from kinmix.homogeneous import moment_ode_run
 from kinmix.macrofv import MacroState, PositivityError, conserved_from_moments, moments_from_conserved
-from kinmix.model import ExchangeQuantities, MixtureParams, SpeciesMoments, exchange_quantities, validate_params
+from kinmix.model import (
+    ExchangeQuantities,
+    MixtureParams,
+    Relaxation,
+    SpeciesMoments,
+    exchange_quantities,
+    relaxations,
+    validate_params,
+)
 from kinmix.particles import ParticleSet, cell_sums, init_particles
 from kinmix.grids import GridSpec
 
@@ -22,11 +30,18 @@ def equilibrium_state(grid, p):
         dx=grid.dx,
     )
     zero = lambda x, v: np.zeros_like(x)
-    ps1 = init_particles(zero, grid, 4000, seed=1, species=1)
-    ps2 = init_particles(zero, grid, 4000, seed=2, species=2)
+    ps1 = init_particles(zero, grid, 4000, seed=1)
+    ps2 = init_particles(zero, grid, 4000, seed=2)
     from kinmix.driver import SimState
 
     return SimState(macro=macro, ps1=ps1, ps2=ps2)
+
+
+def species1_view(mk, n_other, p):
+    """Species 1 relaxing toward an interaction Maxwellian displaced from
+    its own by (0.1, 0.2) in (u, T)."""
+    return Relaxation(mr=1.0, moments=mk, intra=p.nu12 * mk.n / p.eps1, inter=p.nu12 * n_other / p.epst1,
+                      u_cross=mk.u + 0.1, T_cross=mk.T + 0.2)
 
 
 class TestMicroSource:
@@ -40,8 +55,8 @@ class TestMicroSource:
         mk = SpeciesMoments(n=1.0 + 0.2 * np.cos(x / 2), u=0.3 * np.sin(x / 2), T=1.0 + 0.1 * np.cos(x))
         zero_rate = np.zeros(grid.Nx)
         G = np.zeros((4, grid.Nx))
-        src, lam = _micro_source(1, grid, mk, zero_rate, mk.u, mk.T, validate_params(MixtureParams()),
-                                 G, transport=True)
+        sp = Relaxation(mr=1.0, moments=mk, intra=mk.n, inter=zero_rate, u_cross=mk.u, T_cross=mk.T)
+        src, lam = _micro_source(sp, grid, G, transport=True)
 
         c = 3
         th = mk.T  # species 1
@@ -71,7 +86,7 @@ class TestMicroSource:
         phi1_s = sample * Mv_s * (A[c] + B[c] * ws + Cc[c] * (ws * ws - th[c]))
         expected = -complement_at(phi1_s, coeffs, sample)
         xs = np.full(sample.size, x[c])
-        got = src(xs, sample, 0.0)
+        got = src(xs, sample)
         assert np.allclose(got, expected, atol=1e-10)
 
     @pytest.mark.parametrize("species", [1, 2])
@@ -95,7 +110,7 @@ class TestMicroSource:
             mr, mk, n_other, epst = p.mass_ratio2, m2, m1.n, p.epst2
             u_cross, theta_cross = ex.u21, ex.T21 / p.mass_ratio2
         G = np.random.default_rng(8).normal(size=(4, grid.Nx)) * 0.05
-        src, _ = _micro_source(species, grid, mk, n_other, u_cross, theta_cross, p, G, transport=True)
+        src, _ = _micro_source(relaxations(m1, m2, ex, p)[species - 1], grid, G, transport=True)
 
         def ddx(a):
             return (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * grid.dx)
@@ -129,7 +144,7 @@ class TestMicroSource:
             + projection_at(project_from_moments(mc, mr, [m[c] for m in mom_g]), v)
             + rate * complement_at(cross, project_cross_maxwellian(mc, exc, species, mr), v)
         )
-        got = src(x, v, 0.0)
+        got = src(x, v)
         assert np.abs(expected).max() > 0.1
         assert np.allclose(got, expected, rtol=0.0, atol=1e-10)
 
@@ -149,11 +164,12 @@ class TestMicroSource:
         ps = ParticleSet(x=rng.uniform(0.0, grid.Lx, 500), v=rng.normal(size=500), w=np.zeros(500))
         ps, cells = sort_by_cell(ps, grid)
         shared = (ps.x, ps.v, cells, local_maxwellian(ps.v, cells, mk, 1.0))
-        cached, _ = _micro_source(1, grid, mk, n_other, mk.u + 0.1, mk.T + 0.2, p, G, True, shared)
-        fresh, _ = _micro_source(1, grid, mk, n_other, mk.u + 0.1, mk.T + 0.2, p, G, True)
-        assert np.array_equal(cached(ps.x, ps.v, 0.0), fresh(ps.x, ps.v, 0.0))
+        sp = species1_view(mk, n_other, p)
+        cached, _ = _micro_source(sp, grid, G, True, shared)
+        fresh, _ = _micro_source(sp, grid, G, True)
+        assert np.array_equal(cached(ps.x, ps.v), fresh(ps.x, ps.v))
         other_v = ps.v + 0.5
-        assert np.array_equal(cached(ps.x, other_v, 0.0), fresh(ps.x, other_v, 0.0))
+        assert np.array_equal(cached(ps.x, other_v), fresh(ps.x, other_v))
 
     def test_source_moments_equal_remainder_flux_gradient(self):
         # <m(v) S> must reduce to the gradients of the deposited <m v g>
@@ -167,7 +183,7 @@ class TestMicroSource:
         rng = np.random.default_rng(8)
         G = rng.normal(size=(4, grid.Nx)) * 0.01
         p = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
-        src, _ = _micro_source(1, grid, mk, n_other, mk.u + 0.1, mk.T + 0.2, p, G, transport=True)
+        src, _ = _micro_source(species1_view(mk, n_other, p), grid, G, transport=True)
 
         vq = np.linspace(-12, 12, 4001)
         wq = np.full(vq.size, vq[1] - vq[0])
@@ -175,7 +191,7 @@ class TestMicroSource:
         wq[-1] *= 0.5
         for c in (0, 5):
             xs = np.full(vq.size, x[c])
-            S = src(xs, vq, 0.0)
+            S = src(xs, vq)
             got = [float(np.sum(wq * vq**k * S)) for k in range(3)]
             want = [
                 float(_centered_dx(G[1], grid.dx)[c]),

@@ -7,6 +7,7 @@ from kinmix.model import (
     SpeciesMoments,
     exchange_quantities,
     maxwellian,
+    relaxations,
     validate_params,
 )
 from kinmix.macrofv import conserved_from_moments
@@ -180,6 +181,36 @@ class TestExchangeQuantities:
             assert dE2 == pytest.approx(dE2_q, abs=1e-10)
             total = (1 / p.epst1) * p.nu12 * b.n * dE1 + mr2 * (1 / p.epst2) * p.nu12 * a.n * dE2
             assert abs(total) < 1e-12
+            # the same balance, read through the relaxation views
+            dP = dE = 0.0
+            for sp in relaxations(a, b, ex, p):
+                m = sp.moments
+                dP += sp.mr * sp.inter * m.n * (sp.u_cross - m.u)
+                dE += sp.mr * sp.inter * m.n * ((sp.T_cross - m.T) / sp.mr + sp.u_cross**2 - m.u**2)
+            assert abs(dP) < 1e-12 and abs(dE) < 1e-12
+
+
+class TestRelaxations:
+    # four distinct Knudsen numbers, distinct densities and a mass ratio of
+    # 1.5: exchanging any species index in `relaxations` changes a value
+    P = validate_params(params(eps1=0.5, epst1=0.4, eps2=0.3, epst2=0.2, nu12=0.7))
+    M1 = SpeciesMoments(n=np.array([1.0, 1.4]), u=np.array([0.5, -0.2]), T=np.array([1.0, 0.6]))
+    M2 = SpeciesMoments(n=np.array([1.2, 0.8]), u=np.array([0.1, 0.3]), T=np.array([0.1, 0.9]))
+
+    def test_views_follow_the_per_species_formulas(self):
+        m1, m2 = self.M1, self.M2
+        ex = exchange_quantities(m1, m2, self.P)
+        sp1, sp2 = relaxations(m1, m2, ex, self.P)
+        assert (sp1.mr, sp2.mr) == (1.0, 1.5)
+        assert sp1.moments is m1 and sp2.moments is m2
+        # the operations of the formulas, so the bits agree
+        assert np.array_equal(sp1.intra, 0.7 * m1.n / 0.5)
+        assert np.array_equal(sp1.inter, 0.7 * m2.n / 0.4)
+        assert np.array_equal(sp2.intra, 0.7 * m2.n / 0.3)
+        assert np.array_equal(sp2.inter, 0.7 * m1.n / 0.2)
+        assert sp1.u_cross is ex.u12 and sp1.T_cross is ex.T12
+        assert sp2.u_cross is ex.u21 and sp2.T_cross is ex.T21
+        assert not np.allclose(ex.u12, ex.u21) and not np.allclose(ex.T12, ex.T21)
 
 
 class TestMaxwellian:

@@ -128,13 +128,13 @@ class TestUpdateWeights:
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 500, seed=3)
         lam, dt = 2.5, 0.2
-        out = update_weights(ps, lambda x, v, t: np.zeros_like(x), lam, dt, grid)
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid)
         assert np.allclose(out.w, ps.w * np.exp(-lam * dt), rtol=0, atol=0)
 
     def test_zero_damping_is_forward_euler(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 500, seed=3)
-        src = lambda x, v, t: np.cos(v)
+        src = lambda x, v: np.cos(v)
         dt = 0.1
         out = update_weights(ps, src, 0.0, dt, grid)
         expected = ps.w + dt * np.cos(ps.v) * grid.Lx * grid.Lv / ps.Np
@@ -143,7 +143,7 @@ class TestUpdateWeights:
     def test_small_damping_approaches_euler(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 200, seed=4)
-        src = lambda x, v, t: np.sin(v)
+        src = lambda x, v: np.sin(v)
         dt = 0.05
         w_euler = update_weights(ps, src, 0.0, dt, grid).w
         w_small = update_weights(ps, src, 1e-10, dt, grid).w
@@ -153,21 +153,21 @@ class TestUpdateWeights:
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 10, seed=4)
         with pytest.raises(ValueError):
-            update_weights(ps, lambda x, v, t: np.zeros_like(x), -1.0, 0.1, grid)
+            update_weights(ps, lambda x, v: np.zeros_like(x), -1.0, 0.1, grid)
 
     def test_nan_damping_rejected(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 10, seed=4)
         lam = np.array([1.0, np.nan, 1.0, 1.0])
         with pytest.raises(ValueError, match="damping rate"):
-            update_weights(ps, lambda x, v, t: np.zeros_like(x), lam, 0.1, grid)
+            update_weights(ps, lambda x, v: np.zeros_like(x), lam, 0.1, grid)
 
     def test_per_cell_rates_reach_their_particles(self):
         # one rate per cell, set unsorted: each particle decays at its own cell's rate
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 400, seed=5)
         lam, dt = np.array([0.5, 1.0, 2.0, 4.0]), 0.3
-        out = update_weights(ps, lambda x, v, t: np.zeros_like(x), lam, dt, grid)
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid)
         expected = ps.w * np.exp(-lam[grid.cell_index(ps.x)] * dt)
         assert np.array_equal(out.w, expected)
 
@@ -175,12 +175,12 @@ class TestUpdateWeights:
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 10, seed=4)
         with pytest.raises(ValueError, match="per cell"):
-            update_weights(ps, lambda x, v, t: np.zeros_like(x), np.ones(10), 0.1, grid)
+            update_weights(ps, lambda x, v: np.zeros_like(x), np.ones(10), 0.1, grid)
 
     def test_equilibrium_stays_zero(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(lambda x, v: np.zeros_like(x), grid, 500, seed=6)
-        out = update_weights(ps, lambda x, v, t: np.zeros_like(x), 3.0, 0.1, grid)
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), 3.0, 0.1, grid)
         assert np.all(out.w == 0.0)
 
 
@@ -300,7 +300,7 @@ class TestSortedLayout:
 
     def shuffled(self, ps, seed=7):
         perm = np.random.default_rng(seed).permutation(ps.Np)
-        return ParticleSet(x=ps.x[perm], v=ps.v[perm], w=ps.w[perm], species=ps.species), perm
+        return ParticleSet(x=ps.x[perm], v=ps.v[perm], w=ps.w[perm]), perm
 
     def set_for(self, Nx):
         if Nx > 1:
@@ -329,7 +329,7 @@ class TestSortedLayout:
         mk = SpeciesMoments(n=np.full(8, 1.1), u=np.full(8, 0.2), T=np.full(8, 1.3))
         assert np.array_equal(deposit(ps, grid, cells=cells), deposit(ps, grid))
         lam = np.linspace(0.0, 3.0, 8)
-        src = lambda x, v, t: np.cos(v)  # noqa: E731
+        src = lambda x, v: np.cos(v)  # noqa: E731
         got = update_weights(ps, src, lam, 0.1, grid, cells=cells)
         assert np.array_equal(got.w, update_weights(ps, src, lam, 0.1, grid).w)
         a, sk_a = match(ps, grid, mk, 1.0, idx=cells.key, cells=cells)[:2]

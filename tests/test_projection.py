@@ -1,14 +1,14 @@
 """The projection onto span{M, vM, |v|^2 M}: the closed-form oracle of
 `oracles.py` checked against quadrature, and the package's bracket,
 evaluator and Hermite Gram matrix checked against that oracle and against
-pairwise sums."""
+pairwise sums; the Maxwellian-at-samples kernel against `model.maxwellian`."""
 import numpy as np
 import pytest
 
 from kinmix.grids import GridSpec
 from kinmix.model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian, validate_params
 from kinmix.particles import Cells
-from kinmix.projection import bracket, eval_projection, hermite_gram
+from kinmix.projection import bracket, eval_projection, hermite_gram, maxwellian_samples
 
 from oracles import (
     complement_at,
@@ -207,6 +207,52 @@ class TestEvalProjection:
         got = eval_projection(bracket(*mom, self.N, th), h1, M, Cells(grid, x).expand, np.empty_like(v))
         want = self.oracle(mr, mom, cell, v)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+class TestMaxwellianSamples:
+    """The one cell-Maxwellian kernel against `model.maxwellian`, whose
+    operations differ (division by 2 theta instead of scaling by
+    1/sqrt(theta)): agreement to a few ulp of each cell's peak."""
+
+    N = np.array([1.0, 1.3, 0.6, 2.0])
+    U = np.array([0.0, 0.4, -0.7, 1.1])
+    T = np.array([1.0, 0.3, 2.5, 0.8])
+
+    def assert_close(self, got, want, peak):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(peak))
+
+    @pytest.mark.parametrize("mr", [1.0, 1.5])
+    def test_grid_rows_agree_with_model_maxwellian(self, mr):
+        v = np.linspace(-6.0, 6.0, 97)
+        th = self.T / mr
+        h1, M = np.empty((self.N.size, v.size)), np.empty((self.N.size, v.size))
+        got = maxwellian_samples(v, self.U, th, self.N, lambda a: a[:, None], h1, M)
+        want = maxwellian(SpeciesMoments(n=self.N[:, None], u=self.U[:, None], T=self.T[:, None]), mr, v[None, :])
+        assert got is M
+        assert np.allclose(h1, (v[None, :] - self.U[:, None]) / np.sqrt(th)[:, None], rtol=1e-15, atol=0.0)
+        self.assert_close(got, want, want.max(axis=1, keepdims=True))
+
+    def test_unsorted_particles_agree_with_model_maxwellian(self):
+        mr = 1.5
+        grid = GridSpec(Lx=4.0, Nx=self.N.size, Lv=20.0, Nv=8)
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.0, grid.Lx, 400)
+        v = rng.uniform(-5.0, 5.0, 400)
+        cells = Cells(grid, x)
+        assert cells.order is not None
+        cell = grid.cell_index(x)
+        got = maxwellian_samples(v, self.U, self.T / mr, self.N, cells.expand, np.empty(v.size), np.empty(v.size))
+        want = maxwellian(SpeciesMoments(n=self.N[cell], u=self.U[cell], T=self.T[cell]), mr, v)
+        self.assert_close(got, want, (self.N / np.sqrt(2.0 * np.pi * self.T / mr))[cell])
+
+    def test_result_into_h1_buffer_has_the_same_bits(self):
+        v = np.linspace(-6.0, 6.0, 97)
+        args = (v, self.U, self.T / 1.5, self.N, lambda a: a[:, None])
+        shape = (self.N.size, v.size)
+        separate = maxwellian_samples(*args, np.empty(shape), np.empty(shape))
+        buf = np.empty(shape)
+        aliased = maxwellian_samples(*args, buf, buf)
+        assert aliased is buf and np.array_equal(aliased, separate)
 
 
 class TestHermiteGram:
