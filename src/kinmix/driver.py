@@ -6,10 +6,12 @@ snapshots at one cadence.
 
 One step, in this fixed order: push particles and sort them back into cell
 order, deposit and differentiate the kinetic moments, advance the macro
-state, rebuild the Maxwellian fields and update particle weights (Duhamel
-against the per-cell damping rate), then re-match so every cell's remainder
-keeps zero discrete moments.  A species relaxes through its
-`model.relaxations` view, at the damping rate intra + inter.
+state (`macrofv.fv_step`, or in homogeneous mode its exact interspecies
+exchange `macrofv.exchange_map` alone), rebuild the Maxwellian fields and
+update particle weights (Duhamel against the per-cell damping rate), then
+re-match so every cell's remainder keeps zero discrete moments.  A species
+relaxes through its `model.relaxations` view, at the damping rate
+intra + inter.
 
 The micro source for species k combines three pieces that all project onto
 the same local Maxwellian span, so their projections are assembled from one
@@ -25,8 +27,8 @@ import numpy as np
 
 from .config import RunConfig, build_initial_condition, mixture_params
 from .grids import GridSpec, StepWorkspace, step_workspace
-from .homogeneous import analytic_temperature_gap, analytic_velocity_gap, moment_ode_step
-from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
+from .homogeneous import analytic_temperature_gap, analytic_velocity_gap
+from .macrofv import MacroState, conserved_from_moments, exchange_map, fv_step, moments_from_conserved
 from .model import MixtureParams, Relaxation, SpeciesMoments, exchange_quantities, maxwellian, relaxations
 from .particles import (
     Cells,
@@ -186,20 +188,13 @@ def step(
         pdiv2 = np.stack([_centered_dx(G2[j], grid.dx) for j in (1, 2, 3)], axis=-1)
         macro = fv_step(sim.macro, (pdiv1, pdiv2), p, dt)
     else:
-        # space-homogeneous: macro moments follow the relaxation ODEs (RK4),
-        # densities constant; no kinetic flux feeds back
+        # space-homogeneous: no transport, the macro state follows the exact
+        # exchange map (densities constant); no kinetic flux feeds back
         G1 = G2 = None
         ps1, cells1 = sort_by_cell(ps1, grid)
         ps2, cells2 = sort_by_cell(ps2, grid)
-        m1 = moments_from_conserved(sim.macro.U1, 1.0, where="(species 1)")
-        m2 = moments_from_conserved(sim.macro.U2, mr2, where="(species 2)")
-        u1, u2, T1, T2 = moment_ode_step(m1.u, m2.u, m1.T, m2.T, p, m1.n, m2.n, dt)
-        macro = MacroState(
-            U1=conserved_from_moments(SpeciesMoments(n=m1.n, u=u1, T=T1), 1.0),
-            U2=conserved_from_moments(SpeciesMoments(n=m2.n, u=u2, T=T2), mr2),
-            dx=sim.macro.dx,
-            t=sim.macro.t + dt,
-        )
+        U1, U2 = exchange_map(sim.macro.U1, sim.macro.U2, p, dt)
+        macro = MacroState(U1=U1, U2=U2, dx=sim.macro.dx, t=sim.macro.t + dt)
 
     m1 = moments_from_conserved(macro.U1, 1.0, where="(species 1)")
     m2 = moments_from_conserved(macro.U2, mr2, where="(species 2)")

@@ -5,7 +5,10 @@ Densities are constant in the homogeneous case, so the macroscopic dynamics
 reduce to four coupled ODEs for (u1, u2, T1, T2), the exchange increment of
 `macrofv` in (u, T) variables; the velocity gap decays at a single
 exponential rate and the temperature gap follows a two-rate law with
-constants C1, C2, C3.  The kinetic integrator is the discrete-velocity
+constants C1, C2, C3 (`macrofv.decay_constants`, re-exported here).  The
+solvers step that law exactly (`macrofv.exchange_map`); the sub-stepped RK4
+integration of the ODEs here (`moment_ode_step`, `moment_ode_run`) is the
+independent check of it.  The kinetic integrator is the discrete-velocity
 reference solver on one cell (`reference.dvm_step` with Nx=1), recording the
 moments, L1 gaps and relative entropies along the way.
 """
@@ -16,30 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import GridSpec
-from .macrofv import exchange_increment, relaxation_substeps
+from .macrofv import DecayConstants, decay_constants, exchange_increment, relaxation_substeps, two_rate
 from .model import MixtureParams, SpeciesMoments, maxwellian
 from .reference import GridDistribution, cellwise_moments, dvm_step
-
-
-@dataclass(frozen=True)
-class DecayConstants:
-    C1: float
-    C2: float
-    C3: float
-    C: float  # entropy-bound rate: min of the two total relaxation rates
-
-
-def decay_constants(p: MixtureParams, n1: float, n2: float) -> DecayConstants:
-    b1 = p.nu12 * n2 / p.epst1
-    b2e = p.nu12 * n1 * p.eps / p.epst2  # = nu12 n1 / epst1 by construction
-    C1 = (1.0 - p.alpha) * (b1 + b2e)
-    C2 = b1 * ((1.0 - p.delta) ** 2 + p.gamma / p.m1) - b2e * (1.0 - p.delta**2 - p.gamma / p.m1)
-    C3 = 2.0 * (1.0 - p.delta) * (b1 + b2e * p.m1 / p.m2)
-    C = min(
-        p.nu12 * (n1 / p.eps1 + n2 / p.epst1),
-        p.nu12 * (n2 / p.eps2 + n1 / p.epst2),
-    )
-    return DecayConstants(C1=C1, C2=C2, C3=C3, C=C)
 
 
 def _moment_rhs(y: np.ndarray, p: MixtureParams, n1: float, n2: float) -> np.ndarray:
@@ -85,14 +67,11 @@ def analytic_velocity_gap(t, u1_0: float, u2_0: float, p: MixtureParams, n1: flo
 
 
 def analytic_temperature_gap(t, u1_0, u2_0, T1_0, T2_0, p: MixtureParams, n1, n2):
-    """T1 - T2 at time t, including the degenerate C1 = C3 branch."""
+    """T1 - T2 at time t from the two-rate law, e^{-C1 t} (T1 - T2)(0) plus
+    C2 (u1 - u2)^2(0) `two_rate`(C1, C3, t), finite for any admissible rates."""
     c = decay_constants(p, n1, n2)
     t = np.asarray(t, dtype=float)
-    du2 = (u1_0 - u2_0) ** 2
-    dT0 = T1_0 - T2_0
-    if abs(c.C1 - c.C3) < 1e-12:
-        return c.C2 * t * np.exp(-c.C1 * t) * du2 + np.exp(-c.C1 * t) * dT0
-    return np.exp(-c.C1 * t) * (dT0 + c.C2 / (c.C1 - c.C3) * (np.exp((c.C1 - c.C3) * t) - 1.0) * du2)
+    return np.exp(-c.C1 * t) * (T1_0 - T2_0) + c.C2 * (u1_0 - u2_0) ** 2 * two_rate(c.C1, c.C3, t)
 
 
 # --- velocity-grid diagnostics -------------------------------------------

@@ -2,10 +2,10 @@
 interspecies exchange law every solver in the package uses.
 
 Conserved vectors per cell are U_k = (n_k, n_k u_k, <v^2 f_k>).  Transport is
-Rusanov + forward Euler at CFL number 1/2; interspecies relaxation enters as a
-moment-level source built from `exchange_increment`, sub-stepped by
-`relaxation_substeps` (the rule the reference and homogeneous solvers share)
-when dt does not resolve the interspecies rate.  Periodic boundaries
+Rusanov + forward Euler at CFL number 1/2; interspecies relaxation follows as
+a split step, `exchange_map`: with the densities fixed the exchange ODE of
+`exchange_increment` has a closed form, so the map is exact at any step and
+needs no sub-steps however stiff the interspecies rate.  Periodic boundaries
 throughout.
 """
 from __future__ import annotations
@@ -31,9 +31,6 @@ class MacroState:
     U2: np.ndarray  # (Nx, 3)
     dx: float
     t: float = 0.0
-
-    def copy(self) -> "MacroState":
-        return MacroState(U1=self.U1.copy(), U2=self.U2.copy(), dx=self.dx, t=self.t)
 
 
 def conserved_from_moments(M: SpeciesMoments, mass_ratio: float) -> np.ndarray:
@@ -91,18 +88,67 @@ def exchange_increment(m1: SpeciesMoments, m2: SpeciesMoments, p: MixtureParams)
     return out
 
 
-def relaxation_source(U1: np.ndarray, U2: np.ndarray, p: MixtureParams):
-    """Moment-level interspecies sources (S1, S2): zero mass rows, then the
-    exchange increment of the momentum and energy rows."""
-    k = exchange_increment(moments_from_conserved(U1, 1.0), moments_from_conserved(U2, p.mass_ratio2), p)
-    z = np.zeros_like(k[0])
-    return np.stack([z, k[0], k[1]], axis=-1), np.stack([z, k[2], k[3]], axis=-1)
+@dataclass(frozen=True)
+class DecayConstants:
+    C1: np.ndarray | float  # rate of the temperature gap
+    C2: np.ndarray | float  # gain of the temperature gap from the squared velocity gap
+    C3: np.ndarray | float  # rate of the squared velocity gap
+    C: np.ndarray | float  # entropy-bound rate: min of the two total relaxation rates
+
+
+def decay_constants(p: MixtureParams, n1, n2) -> DecayConstants:
+    """Constants of the homogeneous decay laws at densities n1, n2 (scalars
+    or per-cell arrays): d(u1-u2)^2/dt = -C3 (u1-u2)^2 and
+    d(T1-T2)/dt = -C1 (T1-T2) + C2 (u1-u2)^2."""
+    b1 = p.nu12 * n2 / p.epst1
+    b2e = p.nu12 * n1 * p.eps / p.epst2  # = nu12 n1 / epst1 by construction
+    C1 = (1.0 - p.alpha) * (b1 + b2e)
+    C2 = b1 * ((1.0 - p.delta) ** 2 + p.gamma / p.m1) - b2e * (1.0 - p.delta**2 - p.gamma / p.m1)
+    C3 = 2.0 * (1.0 - p.delta) * (b1 + b2e * p.m1 / p.m2)
+    C = np.minimum(p.nu12 * (n1 / p.eps1 + n2 / p.epst1), p.nu12 * (n2 / p.eps2 + n1 / p.epst2))
+    return DecayConstants(C1=C1, C2=C2, C3=C3, C=C)
+
+
+def two_rate(C1, C3, h):
+    """(e^{-C3 h} - e^{-C1 h}) / (C1 - C3), written so it neither overflows
+    nor divides by zero: h e^{-min(C1, C3) h} (1 - e^{-d}) / d with
+    d = |C1 - C3| h, whose limit at d = 0 is h e^{-C1 h}."""
+    d = np.asarray(np.abs(C1 - C3) * h, dtype=float)
+    ratio = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0)
+    return h * np.exp(-np.minimum(C1, C3) * h) * ratio
+
+
+def exchange_map(U1: np.ndarray, U2: np.ndarray, p: MixtureParams, h: float):
+    """Both species' conserved vectors after interspecies exchange over h,
+    in closed form per cell.  The densities and the totals
+    U1[..., 1] + mr2 U2[..., 1] and U1[..., 2] + mr2 U2[..., 2] are kept; the
+    velocity gap u1 - u2 decays by e^{-C3 h/2} and the temperature gap
+    follows the two-rate law of `decay_constants` at the cell's densities."""
+    mr2 = p.mass_ratio2
+    m1 = moments_from_conserved(U1, 1.0, "(species 1)")
+    m2 = moments_from_conserved(U2, mr2, "(species 2)")
+    n1, n2 = m1.n, m2.n
+    c = decay_constants(p, n1, n2)
+    du0 = m1.u - m2.u
+    du = np.exp(-0.5 * c.C3 * h) * du0
+    dT = np.exp(-c.C1 * h) * (m1.T - m2.T) + c.C2 * (du0 * du0) * two_rate(c.C1, c.C3, h)
+    # u1 from the total momentum and the new gap, T1 from the thermal energy
+    # left over (n1 T1 + n2 T2) and the new temperature gap
+    u1 = (U1[..., 1] + mr2 * U2[..., 1] + mr2 * n2 * du) / (n1 + mr2 * n2)
+    u2 = u1 - du
+    thermal = U1[..., 2] + mr2 * U2[..., 2] - n1 * u1 * u1 - mr2 * n2 * u2 * u2
+    T1 = (thermal + n2 * dT) / (n1 + n2)
+    return (
+        conserved_from_moments(SpeciesMoments(n=n1, u=u1, T=T1), 1.0),
+        conserved_from_moments(SpeciesMoments(n=n2, u=u2, T=T1 - dT), mr2),
+    )
 
 
 def relaxation_substeps(dt: float, n1, n2, p: MixtureParams) -> int:
-    """Sub-step count resolving the interspecies moment rates of densities
-    n1, n2 (scalars or per-cell arrays): ceil(2*rate*dt), at least one, so
-    each sub-step has rate*dt <= 1/2."""
+    """Sub-step count of the RK4 moment ODEs (`homogeneous.moment_ode_step`,
+    the independent check of `exchange_map`) at densities n1, n2 (scalars or
+    per-cell arrays): ceil(2*rate*dt), at least one, so each sub-step has
+    rate*dt <= 1/2."""
     rate = p.nu12 * max(float(np.max(n2)) / p.epst1, float(np.max(n1)) / p.epst2)
     return max(1, int(np.ceil(2.0 * dt * rate)))
 
@@ -113,7 +159,9 @@ def fv_step(
     p: MixtureParams,
     dt: float,
 ) -> MacroState:
-    """One forward-Euler macro step: transport + particle-flux coupling + relaxation.
+    """One macro step: forward-Euler transport and particle-flux coupling,
+    then interspecies exchange by the exact `exchange_map` over dt, which
+    stops a non-positive transported state with a `PositivityError`.
 
     particle_flux_div is a pair of (Nx, 3) arrays holding the per-cell
     divergence of <m(v) v g_kk>, or None for no kinetic coupling.
@@ -124,24 +172,11 @@ def fv_step(
     if dt > dt_max:
         raise CFLError(f"dt={dt} violates CFL: need dt <= {dt_max}")
 
-    new = state.copy()
-    for U, Unew, mr in ((state.U1, new.U1, 1.0), (state.U2, new.U2, mr2)):
+    U1, U2 = state.U1.copy(), state.U2.copy()
+    for U, Unew, mr in ((state.U1, U1, 1.0), (state.U2, U2, mr2)):
         Fh = numerical_flux(U, np.roll(U, -1, axis=0), mr)  # F_{i+1/2}
         Unew -= dt / state.dx * (Fh - np.roll(Fh, 1, axis=0))
     if particle_flux_div is not None:
-        new.U1 -= dt * particle_flux_div[0]
-        new.U2 -= dt * particle_flux_div[1]
-
-    nsub = relaxation_substeps(dt, state.U1[:, 0], state.U2[:, 0], p)
-    h = dt / nsub
-    for _ in range(nsub):
-        # one step takes the beginning-of-step source, sub-steps the current state
-        S1, S2 = relaxation_source(*((state.U1, state.U2) if nsub == 1 else (new.U1, new.U2)), p)
-        new.U1 += h * S1
-        new.U2 += h * S2
-
-    # positivity watchdog: fail loudly rather than clip
-    moments_from_conserved(new.U1, 1.0, where="(species 1, after step)")
-    moments_from_conserved(new.U2, mr2, where="(species 2, after step)")
-    new.t = state.t + dt
-    return new
+        U1 -= dt * particle_flux_div[0]
+        U2 -= dt * particle_flux_div[1]
+    return MacroState(*exchange_map(U1, U2, p, dt), dx=state.dx, t=state.t + dt)

@@ -9,15 +9,14 @@ A grid distribution reaches the moment layer only through its conserved
 vector U = (<f>, <v f>, <v^2 f>) per cell (`conserved`), the vector the
 finite-volume solver carries, and moments come back out of U through
 `macrofv.moments_from_conserved` with its positivity check.  The cell
-moments follow a conservative Heun update of U under
-`macrofv.relaxation_source`, sub-stepped by `macrofv.relaxation_substeps`.
-Each species relaxes through its `model.relaxations` view.  Discrete
-Maxwellians are sampled by `projection.maxwellian_samples` and renormalized
-(a 3x3 Hermite solve per cell on the Gram matrix of `projection.hermite_gram`,
-which particle matching solves against too) so their grid moments match the
-target moments exactly, which keeps the conservation checks sharp on coarse
-velocity grids; the renormalized rows are evaluated by
-`projection.eval_projection`, the evaluator of the particle path.
+moments follow `macrofv.exchange_map`, the exact interspecies exchange of U
+over the step.  Each species relaxes through its `model.relaxations` view.
+Discrete Maxwellians are sampled by `projection.maxwellian_samples` and
+renormalized (a 3x3 Hermite solve per cell on the Gram matrix of
+`projection.hermite_gram`, which particle matching solves against too) so
+their grid moments match the target moments exactly, which keeps the
+conservation checks sharp on coarse velocity grids; the renormalized rows are
+evaluated by `projection.eval_projection`, the evaluator of the particle path.
 
 The step's (Nx, Nv) temporaries are buffers of a `grids.StepWorkspace` that
 each state hands on to the next (`GridDistribution.work`), written with
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec, StepWorkspace, step_workspace
-from .macrofv import CFLError, moments_from_conserved, relaxation_source, relaxation_substeps
+from .macrofv import CFLError, exchange_map, moments_from_conserved
 from .model import MixtureParams, SpeciesMoments, exchange_quantities, relaxations
 from .projection import eval_projection, hermite_gram, maxwellian_samples
 
@@ -108,21 +107,6 @@ def _upwind_transport(f: np.ndarray, grid: GridSpec, dt: float, work: StepWorksp
     return out
 
 
-def _heun_exchange(U1: np.ndarray, U2: np.ndarray, p: MixtureParams, dt: float):
-    """Conservative Heun update of both species' conserved vectors over dt
-    under `relaxation_source`, sub-stepped by `relaxation_substeps`;
-    densities stay fixed.  Each stage evaluates the source at a single
-    state, so total momentum/energy move only by round-off."""
-    nsub = relaxation_substeps(dt, U1[:, 0], U2[:, 0], p)
-    h = dt / nsub
-    for _ in range(nsub):
-        k1 = relaxation_source(U1, U2, p)
-        k2 = relaxation_source(U1 + h * k1[0], U2 + h * k1[1], p)
-        U1 = U1 + 0.5 * h * (k1[0] + k2[0])
-        U2 = U2 + 0.5 * h * (k1[1] + k2[1])
-    return U1, U2
-
-
 def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt: float, work: StepWorkspace):
     """Pointwise exponential relaxation toward own + interaction Maxwellians,
     with the cell moments advanced conservatively and then re-pinned;
@@ -133,7 +117,7 @@ def _relax(f1: np.ndarray, f2: np.ndarray, grid: GridSpec, p: MixtureParams, dt:
     m2 = moments_from_conserved(U2, p.mass_ratio2, "(species 2)")
     views = relaxations(m1, m2, exchange_quantities(m1, m2, p), p)
     out = []
-    for f, sp, C in zip((f1, f2), views, _heun_exchange(U1, U2, p, dt)):
+    for f, sp, C in zip((f1, f2), views, exchange_map(U1, U2, p, dt)):
         m, mr = sp.moments, sp.mr
         lam = sp.intra + sp.inter
         Mbar = work.buffer("Mbar", f.shape)

@@ -3,11 +3,15 @@
 Deliberately kept free of package internals beyond the data types: every
 expected value here comes from trapezoid quadrature on a wide fine grid, from
 a closed formula written out in full, or from a plain per-element loop, so the
-package is checked against something it does not share code with.
+package is checked against something it does not share code with.  The one
+exception is `relaxation_source`, which only arranges the package's exchange
+increment as moment-level source rows for the tests of that increment.
 """
 from dataclasses import dataclass
 
 import numpy as np
+
+from kinmix.macrofv import exchange_increment, moments_from_conserved
 
 
 def vgrid(half_width=30.0, n=6001):
@@ -166,3 +170,11 @@ def projection_at(coeffs, v):
 def complement_at(phi_at_v, coeffs, v):
     """(1 - Pi)(phi)(v) = phi(v) - Pi(phi)(v)."""
     return phi_at_v - projection_at(coeffs, v)
+
+
+def relaxation_source(U1, U2, p):
+    """Moment-level interspecies sources (S1, S2) of conserved vectors U1, U2:
+    zero mass rows, then `exchange_increment`'s momentum and energy rows."""
+    k = exchange_increment(moments_from_conserved(U1, 1.0), moments_from_conserved(U2, p.mass_ratio2), p)
+    z = np.zeros_like(k[0])
+    return np.stack([z, k[0], k[1]], axis=-1), np.stack([z, k[2], k[3]], axis=-1)

@@ -118,6 +118,18 @@ class TestAnalyticLaws:
         ana = analytic_temperature_gap(ts, *INIT, p, N1, N2)
         assert np.max(np.abs((T1 - T2) - ana)) < 1e-6
 
+    def test_law_finite_where_fast_rate_overflows(self):
+        # alpha=0.1, delta=0.9 at Knudsen 1e-5 give C1 > C3 with
+        # (C1 - C3) t > 709 by the end, where e^{(C1 - C3) t} overflows
+        p = validate_params(MixtureParams(alpha=0.1, delta=0.9, eps1=1e-5, epst1=1e-5, eps2=1e-5, epst2=1e-5))
+        c = decay_constants(p, N1, N2)
+        t_end = 5e-3
+        assert (c.C1 - c.C3) * t_end > 709
+        ts, u1, u2, T1, T2 = moment_ode_run(*INIT, p, N1, N2, dt=2e-6, t_end=t_end, output_every=50)
+        ana = analytic_temperature_gap(ts, *INIT, p, N1, N2)
+        assert np.isfinite(ana).all()
+        assert np.max(np.abs((T1 - T2) - ana)) < 1e-4 * np.max(np.abs(ana))
+
     def test_nu12_scales_time(self):
         # nu12 enters every rate linearly: doubling it halves the time axis
         p1 = validate_params(MixtureParams(nu12=1.0))

@@ -6,16 +6,19 @@ from kinmix.macrofv import (
     MacroState,
     PositivityError,
     conserved_from_moments,
+    decay_constants,
+    exchange_map,
     fv_step,
     maxwellian_flux,
     moments_from_conserved,
     numerical_flux,
-    relaxation_source,
     relaxation_substeps,
+    two_rate,
 )
+from kinmix.homogeneous import moment_ode_step
 from kinmix.model import MixtureParams, SpeciesMoments, maxwellian, validate_params
 
-from oracles import gaussian, raw_moment, vgrid
+from oracles import gaussian, raw_moment, relaxation_source, vgrid
 
 P_005 = validate_params(MixtureParams(eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05))
 
@@ -158,30 +161,26 @@ class TestFvStep:
         assert np.max(np.abs(new.U2 - st.U2)) < 1e-12
 
     def test_uniform_unequal_state_transport_cancels(self):
-        # uniform in x: the update must equal the pure-source update
-        # (rate*dt = 0.024 here, so the source is applied in one step)
+        # uniform in x: the step is the exchange map alone
         st = baseline_state(Nx=8)
-        p = P_005
-        dt = 1e-3
-        new = fv_step(st, None, p, dt=dt)
-        S1, S2 = relaxation_source(st.U1, st.U2, p)
-        assert np.allclose(new.U1, st.U1 + dt * S1, atol=1e-13)
-        assert np.allclose(new.U2, st.U2 + dt * S2, atol=1e-13)
-        assert np.allclose(new.U1[:, 0], st.U1[:, 0], atol=1e-15)
+        new = fv_step(st, None, P_005, dt=1e-3)
+        U1, U2 = exchange_map(st.U1, st.U2, P_005, 1e-3)
+        assert np.max(np.abs(new.U1 - U1)) <= 1e-14 and np.max(np.abs(new.U2 - U2)) <= 1e-14
+        assert np.array_equal(new.U1[:, 0], st.U1[:, 0])
 
-    def test_source_substepped_above_half_rate_time(self):
-        # rate*dt = 24 * 0.03125 = 0.75: two half-steps, each source taken at
-        # the state it advances (transport cancels on uniform data)
+    def test_stiff_step_reaches_finite_equilibrium(self):
+        # rate*dt = 1.2e7 * dt = 1e6 in one step; transport cancels on
+        # uniform data
+        p = validate_params(MixtureParams(eps1=1e-7, epst1=1e-7, eps2=1e-7, epst2=1e-7))
         st = baseline_state(Nx=8)
-        dt = 0.75 / 24.0
-        new = fv_step(st, None, P_005, dt=dt)
-        U1, U2 = st.U1.copy(), st.U2.copy()
-        for _ in range(2):
-            S1, S2 = relaxation_source(U1, U2, P_005)
-            U1, U2 = U1 + 0.5 * dt * S1, U2 + 0.5 * dt * S2
-        assert np.allclose(new.U1, U1, rtol=1e-14, atol=0) and np.allclose(new.U2, U2, rtol=1e-14, atol=0)
-        S1, S2 = relaxation_source(st.U1, st.U2, P_005)
-        assert np.max(np.abs(new.U1 - (st.U1 + dt * S1))) > 1e-4  # not a single full step
+        new = fv_step(st, None, p, dt=1e6 / 1.2e7)
+        assert np.isfinite(new.U1).all() and np.isfinite(new.U2).all()
+        for k in (1, 2):
+            scale = np.abs(st.U1[:, k]) + 1.5 * np.abs(st.U2[:, k])
+            change = new.U1[:, k] + 1.5 * new.U2[:, k] - (st.U1[:, k] + 1.5 * st.U2[:, k])
+            assert np.all(np.abs(change) <= 16 * np.finfo(float).eps * scale)
+        m1, m2 = moments_from_conserved(new.U1, 1.0), moments_from_conserved(new.U2, 1.5)
+        assert np.max(np.abs(m1.u - m2.u)) <= 1e-15
 
     def test_mass_constant_any_step(self):
         st = baseline_state(Nx=16)
@@ -218,3 +217,97 @@ class TestFvStep:
         with_div = fv_step(st, (div, zero), P_005, dt=dt)
         without = fv_step(st, None, P_005, dt=dt)
         assert np.allclose(with_div.U1[:, 1], without.U1[:, 1] - dt * 0.01, atol=1e-15)
+
+
+def random_params(rng, m2):
+    """An admissible parameter draw with mass ratio m2 and Knudsen numbers of order one."""
+    while True:
+        epst1 = float(rng.uniform(0.2, 2.0))
+        kw = dict(m2=m2, delta=float(rng.uniform(0.0, 0.95)), alpha=float(rng.uniform(0.0, 0.95)),
+                  eps1=float(rng.uniform(0.2, 2.0)), epst1=epst1, eps2=float(rng.uniform(0.2, 2.0)),
+                  epst2=epst1 * float(rng.uniform(0.2, 1.0)), nu12=float(rng.uniform(0.5, 2.0)))
+        p = MixtureParams(gamma=0.0, **kw)
+        if p.delta_min() <= p.delta:
+            return validate_params(MixtureParams(gamma=float(rng.uniform(0.0, 0.9 * p.gamma_max())), **kw))
+
+
+def random_cells(rng, p, Nx=5):
+    """Per-cell conserved vectors of two species with random (n, u, T)."""
+    U1 = conserved_from_moments(SpeciesMoments(n=rng.uniform(0.5, 2, Nx), u=rng.uniform(-1, 1, Nx),
+                                               T=rng.uniform(0.2, 2, Nx)), 1.0)
+    U2 = conserved_from_moments(SpeciesMoments(n=rng.uniform(0.5, 2, Nx), u=rng.uniform(-1, 1, Nx),
+                                               T=rng.uniform(0.2, 2, Nx)), p.mass_ratio2)
+    return U1, U2
+
+
+# six random draws over m2/m1 in {1, 1.5, 4}, and m1 = m2 with
+# (1 - alpha) = 2 (1 - delta), where C1 == C3 exactly
+EXCHANGE_PARAMS = [random_params(np.random.default_rng(s), m2) for s, m2 in enumerate((1.0, 1.0, 1.5, 1.5, 4.0, 4.0))]
+EXCHANGE_PARAMS.append(validate_params(MixtureParams(m2=1.0, delta=0.75, alpha=0.5, gamma=0.1)))
+
+
+class TestExchangeMap:
+    @pytest.mark.parametrize("k", range(len(EXCHANGE_PARAMS)))
+    @pytest.mark.parametrize("h, nsub", [(1e-3, 1), (5e-2, 500)])
+    def test_matches_rk4_moment_odes_per_cell(self, k, h, nsub):
+        # the exact map over h against nsub RK4 steps of the moment ODEs,
+        # cell by cell; the gaps relative to their starting size
+        p = EXCHANGE_PARAMS[k]
+        U1, U2 = random_cells(np.random.default_rng(100 + k), p)
+        m1, m2 = moments_from_conserved(U1, 1.0), moments_from_conserved(U2, p.mass_ratio2)
+        ref = (m1.u, m2.u, m1.T, m2.T)
+        for _ in range(nsub):
+            ref = moment_ode_step(*ref, p, m1.n, m2.n, h / nsub)
+        V1, V2 = exchange_map(U1, U2, p, h)
+        a, b = moments_from_conserved(V1, 1.0), moments_from_conserved(V2, p.mass_ratio2)
+        got = (a.u, b.u, a.T, b.T)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r) / np.abs(r)) <= 1e-12
+        du0, dT0 = np.abs(m1.u - m2.u), np.abs(m1.T - m2.T) + (m1.u - m2.u) ** 2
+        assert np.max(np.abs((a.u - b.u) - (ref[0] - ref[1])) / du0) <= 1e-12
+        assert np.max(np.abs((a.T - b.T) - (ref[2] - ref[3])) / dT0) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(len(EXCHANGE_PARAMS)))
+    @pytest.mark.parametrize("h", [1e-3, 1.0, 1e3])
+    def test_keeps_densities_and_total_momentum_and_energy(self, k, h):
+        p = EXCHANGE_PARAMS[k]
+        U1, U2 = random_cells(np.random.default_rng(200 + k), p)
+        V1, V2 = exchange_map(U1, U2, p, h)
+        assert np.array_equal(V1[:, 0], U1[:, 0]) and np.array_equal(V2[:, 0], U2[:, 0])
+        for j in (1, 2):
+            # round-off: a few ulp of the cell's summed |terms|
+            scale = np.abs(U1[:, j]) + p.mass_ratio2 * np.abs(U2[:, j])
+            change = V1[:, j] + p.mass_ratio2 * V2[:, j] - (U1[:, j] + p.mass_ratio2 * U2[:, j])
+            assert np.all(np.abs(change) <= 16 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("alpha, delta", [(0.1, 0.9), (0.9, 0.1)])
+    def test_finite_equilibrium_at_huge_rate_times(self, alpha, delta):
+        # (0.1, 0.9) has C1 > C3, (0.9, 0.1) has C1 < C3; the step has
+        # C h >= 1e6 for both rates, and every cell lands on the common
+        # velocity and temperature its totals allow
+        p = validate_params(MixtureParams(m2=1.0, alpha=alpha, delta=delta, gamma=0.0))
+        U1, U2 = random_cells(np.random.default_rng(7), p)
+        c = decay_constants(p, U1[:, 0], U2[:, 0])
+        h = 1e6 / np.min(np.minimum(c.C1, c.C3))
+        assert (c.C1 > c.C3).all() if alpha < delta else (c.C1 < c.C3).all()
+        V1, V2 = exchange_map(U1, U2, p, h)
+        assert np.isfinite(V1).all() and np.isfinite(V2).all()
+        n1, n2 = U1[:, 0], U2[:, 0]
+        u = (U1[:, 1] + U2[:, 1]) / (n1 + n2)
+        T = (U1[:, 2] + U2[:, 2] - (n1 + n2) * u * u) / (n1 + n2)
+        a, b = moments_from_conserved(V1, 1.0), moments_from_conserved(V2, 1.0)
+        for m in (a, b):
+            assert np.allclose(m.u, u, rtol=0, atol=1e-14) and np.allclose(m.T, T, rtol=1e-13, atol=0)
+
+    def test_two_rate_continuous_at_equal_rates(self):
+        h = np.array([1e-3, 0.1, 2.0, 50.0])
+        for C in (0.3, 7.0):
+            at = two_rate(C, C, h)
+            assert np.allclose(at, h * np.exp(-C * h), rtol=1e-15, atol=0)
+            for near in (C + 1e-9, C - 1e-9):
+                # its C3-derivative at C3 = C1 is -h^2 e^{-C1 h}/2: a relative move of h/2 * 1e-9
+                assert np.all(np.abs(two_rate(C, near, h) - at) <= 1e-9 * h * at)
+                assert np.array_equal(two_rate(C, near, h), two_rate(near, C, h))
+            # well apart, it is the textbook difference quotient
+            far = C + 0.5
+            assert np.allclose(two_rate(C, far, h), (np.exp(-far * h) - np.exp(-C * h)) / (C - far), rtol=1e-13, atol=0)

@@ -92,7 +92,7 @@ class TestDvmStep:
         v = grid.v_nodes
         f1 = v4_profile(v)
         f2 = maxwellian(SpeciesMoments(n=1.2, u=0.1, T=0.1), 1.5, v)
-        # with Knudsen 0.05 and dt = 0.05, rate*dt = 1.2: the Heun update sub-steps
+        # with Knudsen 0.05 and dt = 0.05, rate*dt = 1.2: a stiff step for the exchange map
         p005 = validate_params(MixtureParams(eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05))
         for p, dt, t_end in ((P1, 2e-3, 0.5), (p005, 5e-2, 1.0)):
             traj = kinetic_homogeneous_run(f1.copy(), f2.copy(), p, grid, dt=dt, t_end=t_end)
