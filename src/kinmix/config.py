@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import GridSpec
 from .model import MixtureParams, SpeciesMoments, maxwellian, validate_params
 
 
@@ -132,6 +133,11 @@ def parse_config(text: str) -> RunConfig:
             f"thermal speed sqrt(min(T1, T2) / max(1, m2/m1)) = {sigma:.3g} is below half the velocity "
             f"node spacing Lv/(Nv-1) = {dv:.3g}: raise Nv, T1 or T2"
         )
+    # the upwind bound `reference.dvm_step` checks, from the same grid
+    dt_max = GridSpec(Lx=cfg.Lx, Nx=cfg.Nx, Lv=cfg.Lv, Nv=cfg.Nv).upwind_dt_max()
+    if cfg.mode == "reference" and cfg.dt > dt_max:
+        raise ConfigError(f"field 'time.dt' = {cfg.dt!r} breaks the upwind CFL bound of reference mode: "
+                          f"need time.dt <= dx / max|v| = (Lx/Nx) / (Lv/2) = {dt_max!r}")
     return cfg
 
 

@@ -4,14 +4,14 @@
 `reference.dvm_step` in reference mode) and records the time series and
 snapshots at one cadence.
 
-One step, in this fixed order: push particles and sort them back into cell
-order, deposit and differentiate the kinetic moments, advance the macro
-state (`macrofv.fv_step`, or in homogeneous mode its exact interspecies
-exchange `macrofv.exchange_map` alone), rebuild the Maxwellian fields and
-update particle weights (Duhamel against the per-cell damping rate), then
-re-match so every cell's remainder keeps zero discrete moments.  A species
-relaxes through its `model.relaxations` view, at the damping rate
-intra + inter.
+One step, the same in every micro-macro mode, in this fixed order: push
+particles and sort them back into cell order, deposit and differentiate the
+kinetic moments, advance the macro state (`macrofv.fv_step`), rebuild the
+Maxwellian fields and update particle weights (Duhamel against the per-cell
+damping rate), then re-match so every cell's remainder keeps zero discrete
+moments.  On one periodic cell (homogeneous mode) every transport term is
+exactly zero, so nothing is pushed or deposited.  A species relaxes through
+its `model.relaxations` view, at the damping rate intra + inter.
 
 The micro source for species k combines three pieces that all project onto
 the same local Maxwellian span, so their projections are assembled from one
@@ -28,7 +28,7 @@ import numpy as np
 from .config import RunConfig, build_initial_condition, mixture_params
 from .grids import GridSpec, StepWorkspace, step_workspace
 from .homogeneous import analytic_temperature_gap, analytic_velocity_gap
-from .macrofv import MacroState, conserved_from_moments, exchange_map, fv_step, moments_from_conserved
+from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
 from .model import MixtureParams, Relaxation, SpeciesMoments, exchange_quantities, maxwellian, relaxations
 from .particles import (
     Cells,
@@ -77,20 +77,31 @@ def _centered_dx(arr: np.ndarray, dx: float) -> np.ndarray:
     return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2.0 * dx)
 
 
-def _micro_source(
-    sp: Relaxation,
-    grid: GridSpec,
-    g_moments,
-    transport: bool,
-    shared=None,
-    work: StepWorkspace | None = None,
-):
+def _flux_divergence(G: np.ndarray, dx: float) -> np.ndarray:
+    """Centred x-derivatives of the deposited <v g>, <v^2 g>, <v^3 g> rows
+    of G (`particles.deposit`), as an (Nx, 3) array: the particle flux
+    divergence that both the macro step and the micro source read."""
+    return np.stack([_centered_dx(G[j], dx) for j in (1, 2, 3)], axis=-1)
+
+
+def _transport(ps: ParticleSet, grid: GridSpec, dt: float):
+    """Push, sort and deposit one species: (sorted set, its `Cells`, its
+    `_flux_divergence`).  On one periodic cell every transport term is
+    exactly zero, so the set is only grouped and the divergence is None."""
+    if grid.Nx == 1:
+        return (*sort_by_cell(ps, grid), None)
+    ps, cells = sort_by_cell(push(ps, dt, grid), grid)
+    return ps, cells, _flux_divergence(deposit(ps, grid, cells=cells), grid.dx)
+
+
+def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, shared=None,
+                  work: StepWorkspace | None = None):
     """Vectorized micro source S(x, v) for one species plus its per-cell
     damping rate intra + inter.
 
-    sp is the species' relaxation view (`model.relaxations`), g_moments the
-    deposited remainder moments (rows <g>, <vg>, <v^2 g>, <v^3 g>) or None
-    when transport is off.
+    sp is the species' relaxation view (`model.relaxations`), flux_div the
+    species' `_flux_divergence`, or None on one cell, where the source keeps
+    only its interspecies term because every x-derivative is exactly zero.
     shared is an optional (positions, velocities, Cells, LocalMaxwellian)
     tuple reused when the source is evaluated at exactly those two arrays.
     The source is written into the workspace's "source" buffer (a new array
@@ -113,7 +124,7 @@ def _micro_source(
     comb1 = -rate * (n * duc)
     comb2 = -rate * (n * (theta_cross + duc * duc))
 
-    if transport:
+    if flux_div is not None:
         dx = grid.dx
         A = _centered_dx(n, dx) / n
         B = _centered_dx(u, dx) / th
@@ -122,15 +133,13 @@ def _micro_source(
         comb0 = comb0 + n * (u * A + th * B)
         comb1 = comb1 + n * (th * A + u * th * B + 2.0 * th * th * Cc)
         comb2 = comb2 + n * (u * th * A + 3.0 * th * th * B + 2.0 * u * th * th * Cc)
-        dG1 = _centered_dx(g_moments[1], dx)
-        dG2 = _centered_dx(g_moments[2], dx)
-        dG3 = _centered_dx(g_moments[3], dx)
+        dG1, dG2, dG3 = flux_div.T
         comb0 = comb0 + dG1
         comb1 = comb1 + dG2 - u * dG1
         comb2 = comb2 + dG3 - 2.0 * u * dG2 + u * u * dG1
     # combined projection Pi(phi1 + phi2 - rate*M_kj) per unit M_k, on (1, h1, h1^2)
     poly = bracket(comb0, comb1, comb2, n, th)
-    if transport:
+    if flux_div is not None:
         # v dx M = v M Q with Q = A + B sigma h1 + C theta h2; minus
         # (u + sigma h1) Q on (1, h1, h1^2, h1^3)
         sig = np.sqrt(th)
@@ -153,64 +162,39 @@ def _micro_source(
     return source_eval, sp.intra + sp.inter
 
 
-def _relax_particles(sp: Relaxation, ps, cells, G, grid, dt, transport, work):
+def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
     """Weight update and matching of one cell-sorted species grouped by
     `cells`, through the buffers of `work`; the cell Maxwellian at its
     particles is evaluated once and shared by the source, the update and the
     matching.  Returns (matched set, skipped cells, largest post-match
     residual, re-solved cells)."""
     loc = local_maxwellian(ps.v, cells, sp.moments, sp.mr, work)
-    se, lam = _micro_source(sp, grid, G, transport, (ps.x, ps.v, cells, loc), work)
+    se, lam = _micro_source(sp, grid, flux_div, (ps.x, ps.v, cells, loc), work)
     ps = update_weights(ps, se, lam, dt, grid, cells=cells, work=work)
     return match(ps, grid, sp.moments, sp.mr, idx=cells.key, local=loc, cells=cells, work=work)
 
 
-def step(
-    sim: SimState,
-    p: MixtureParams,
-    grid: GridSpec,
-    dt: float,
-    transport: bool = True,
-):
+def step(sim: SimState, p: MixtureParams, grid: GridSpec, dt: float):
     """Advance the coupled system by dt; returns (new SimState, diagnostics).
 
-    The new state's particle arrays are new; the input state is left as it
-    was, and its workspace is handed on to the new state."""
-    mr2 = p.mass_ratio2
-    ps1, ps2, work = sim.ps1, sim.ps2, sim.work
-
-    if transport:
-        ps1, cells1 = sort_by_cell(push(ps1, dt, grid), grid)
-        ps2, cells2 = sort_by_cell(push(ps2, dt, grid), grid)
-        G1 = deposit(ps1, grid, cells=cells1)
-        G2 = deposit(ps2, grid, cells=cells2)
-        pdiv1 = np.stack([_centered_dx(G1[j], grid.dx) for j in (1, 2, 3)], axis=-1)
-        pdiv2 = np.stack([_centered_dx(G2[j], grid.dx) for j in (1, 2, 3)], axis=-1)
-        macro = fv_step(sim.macro, (pdiv1, pdiv2), p, dt)
-    else:
-        # space-homogeneous: no transport, the macro state follows the exact
-        # exchange map (densities constant); no kinetic flux feeds back
-        G1 = G2 = None
-        ps1, cells1 = sort_by_cell(ps1, grid)
-        ps2, cells2 = sort_by_cell(ps2, grid)
-        U1, U2 = exchange_map(sim.macro.U1, sim.macro.U2, p, dt)
-        macro = MacroState(U1=U1, U2=U2, dx=sim.macro.dx, t=sim.macro.t + dt)
+    Every micro-macro mode takes this one path.  On one cell
+    (`grid.Nx == 1`) the transport terms vanish exactly: `_transport` neither
+    pushes nor deposits, and `fv_step` reduces to the exchange map.  The new
+    state's particle arrays are new; the input state is left as it was, and
+    its workspace is handed on to the new state."""
+    ps1, cells1, div1 = _transport(sim.ps1, grid, dt)
+    ps2, cells2, div2 = _transport(sim.ps2, grid, dt)
+    macro = fv_step(sim.macro, None if div1 is None else (div1, div2), p, dt)
 
     m1 = moments_from_conserved(macro.U1, 1.0, where="(species 1)")
-    m2 = moments_from_conserved(macro.U2, mr2, where="(species 2)")
+    m2 = moments_from_conserved(macro.U2, p.mass_ratio2, where="(species 2)")
     sp1, sp2 = relaxations(m1, m2, exchange_quantities(m1, m2, p), p)
 
-    ps1, sk1, res1, ref1 = _relax_particles(sp1, ps1, cells1, G1, grid, dt, transport, work)
-    ps2, sk2, res2, ref2 = _relax_particles(sp2, ps2, cells2, G2, grid, dt, transport, work)
+    ps1, sk1, res1, ref1 = _relax_particles(sp1, ps1, cells1, div1, grid, dt, sim.work)
+    ps2, sk2, res2, ref2 = _relax_particles(sp2, ps2, cells2, div2, grid, dt, sim.work)
 
-    return (
-        SimState(macro=macro, ps1=ps1, ps2=ps2, work=work),
-        StepDiagnostics(
-            skipped_cells=sk1 + sk2,
-            match_residual=max(res1, res2),
-            refined_cells=ref1 + ref2,
-        ),
-    )
+    diag = StepDiagnostics(skipped_cells=sk1 + sk2, match_residual=max(res1, res2), refined_cells=ref1 + ref2)
+    return SimState(macro=macro, ps1=ps1, ps2=ps2, work=sim.work), diag
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +343,7 @@ def run(cfg: RunConfig) -> RunResult:
             if kinetic:
                 state = reference.dvm_step(state, p, cfg.dt)
             else:
-                state, diag = step(state, p, grid, cfg.dt, transport=cfg.mode == "general")
+                state, diag = step(state, p, grid, cfg.dt)
                 skipped += diag.skipped_cells
         except Exception as e:
             raise RuntimeError(f"run aborted at step {k + 1}/{nsteps} (t={state.t:.6g}): {e}") from e

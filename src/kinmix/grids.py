@@ -75,6 +75,11 @@ class GridSpec:
     def dv_bin(self) -> float:
         return self.Lv / self.Nv
 
+    def upwind_dt_max(self) -> float:
+        """Largest dt of upwind transport on the velocity nodes, dx / max|v|;
+        unbounded on one periodic cell, where nothing is transported."""
+        return math.inf if self.Nx == 1 else self.dx / float(np.max(np.abs(self.v_nodes)))
+
     def cell_index(self, x) -> np.ndarray:
         """Nearest-grid-point cell of each position (periodic)."""
         q = np.floor(np.asarray(x) / self.dx)

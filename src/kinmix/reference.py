@@ -142,9 +142,8 @@ def dvm_step(state: GridDistribution, p: MixtureParams, dt: float) -> GridDistri
     """First-order splitting: upwind transport in x, then relaxation built
     from the post-transport moments."""
     grid = state.grid
-    vmax = float(np.max(np.abs(grid.v_nodes)))
-    if grid.Nx > 1 and dt > grid.dx / vmax:
-        raise CFLError(f"dt={dt} violates upwind CFL: need dt <= {grid.dx / vmax}")
+    if dt > grid.upwind_dt_max():
+        raise CFLError(f"dt={dt} violates upwind CFL: need dt <= {grid.upwind_dt_max()}")
     # on one periodic cell the upwind differences vanish exactly: no transport
     work = state.work
     f1 = _upwind_transport(state.f1, grid, dt, work, "f1")

@@ -136,6 +136,31 @@ class TestParseConfig:
         res = run(parse_config(cfg_text(domain={"Nx": 4, "Nv": 512}, **doc)))
         assert np.all(np.isfinite(res.series["gap_T_inf"]))
 
+    # the reference_oracle benchmark workload: 128 cells over 4 pi, 256 nodes
+    REFERENCE = dict(mode="reference", domain={"Lx": 4 * np.pi, "Lv": 20.0, "Nx": 128, "Nv": 256},
+                     init={"preset": "cosine-perturbed", "beta": 0.1})
+
+    def test_reference_dt_above_upwind_cfl_rejected(self):
+        # dx / max|v| = 0.0982 / 10; dt = 2e-2 used to pass parsing and abort
+        # the run at step 1 with a CFLError
+        with pytest.raises(ConfigError, match=r"'time\.dt' = 0\.02 breaks the upwind CFL bound .* = 0\.0098"):
+            parse_config(cfg_text(time={"dt": 2e-2, "t_end": 0.2}, **self.REFERENCE))
+        assert parse_config(cfg_text(time={"dt": 4e-3, "t_end": 0.2}, **self.REFERENCE)).dt == 4e-3
+        # the bound binds reference mode only, and only on more than one cell
+        assert parse_config(cfg_text(time={"dt": 2e-2, "t_end": 0.2}, **{**self.REFERENCE, "mode": "general"}))
+        one_cell = dict(self.REFERENCE, domain={"Nx": 1, "Nv": 256}, init={"preset": "v4-maxwellian"})
+        assert parse_config(cfg_text(time={"dt": 2e-2, "t_end": 0.2}, **one_cell)).Nx == 1
+
+    def test_reference_upwind_cfl_boundary_agrees_with_the_run(self):
+        # the parser and dvm_step read one bound: dt at it parses and runs,
+        # the next float up is rejected
+        bound = GridSpec(Lx=4 * np.pi, Nx=128, Lv=20.0, Nv=256).upwind_dt_max()
+        res = run(parse_config(cfg_text(time={"dt": bound, "t_end": bound}, **self.REFERENCE)))
+        assert res.times[-1] == bound
+        above = float(np.nextafter(bound, 1.0))
+        with pytest.raises(ConfigError, match=r"'time\.dt'"):
+            parse_config(cfg_text(time={"dt": above, "t_end": above}, **self.REFERENCE))
+
     def test_t_end_below_one_step_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             parse_config(cfg_text(time={"dt": 0.01, "t_end": 0.004}))

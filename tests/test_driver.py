@@ -50,7 +50,7 @@ class TestMicroSource:
     def test_transport_source_matches_quadrature_projection(self):
         # -(1 - Pi)(v dx M) from the driver's closed-form Gaussian moments,
         # checked pointwise against quadrature moments + the closed-form oracle
-        from kinmix.driver import _centered_dx, _micro_source
+        from kinmix.driver import _centered_dx, _flux_divergence, _micro_source
 
         grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
         x = grid.x_centers
@@ -58,7 +58,7 @@ class TestMicroSource:
         zero_rate = np.zeros(grid.Nx)
         G = np.zeros((4, grid.Nx))
         sp = Relaxation(mr=1.0, moments=mk, intra=mk.n, inter=zero_rate, u_cross=mk.u, T_cross=mk.T)
-        src, lam = _micro_source(sp, grid, G, transport=True)
+        src, lam = _micro_source(sp, grid, _flux_divergence(G, grid.dx))
 
         c = 3
         th = mk.T  # species 1
@@ -97,7 +97,7 @@ class TestMicroSource:
         # scattered (x, v), with a nonzero remainder and cross rate and
         # m2/m1 = 1.5, against the closed-form projection; no shared
         # Maxwellian, so the source groups the points and evaluates M_k itself
-        from kinmix.driver import _micro_source
+        from kinmix.driver import _flux_divergence, _micro_source
 
         grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
         xc = grid.x_centers
@@ -112,7 +112,7 @@ class TestMicroSource:
             mr, mk, n_other, epst = p.mass_ratio2, m2, m1.n, p.epst2
             u_cross, theta_cross = ex.u21, ex.T21 / p.mass_ratio2
         G = np.random.default_rng(8).normal(size=(4, grid.Nx)) * 0.05
-        src, _ = _micro_source(relaxations(m1, m2, ex, p)[species - 1], grid, G, transport=True)
+        src, _ = _micro_source(relaxations(m1, m2, ex, p)[species - 1], grid, _flux_divergence(G, grid.dx))
 
         def ddx(a):
             return (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * grid.dx)
@@ -153,7 +153,7 @@ class TestMicroSource:
     def test_shared_maxwellian_used_only_for_its_own_arrays(self):
         # the cached cell Maxwellian belongs to one (x, v) pair; the same x
         # with other velocities must be evaluated afresh
-        from kinmix.driver import _micro_source
+        from kinmix.driver import _flux_divergence, _micro_source
         from kinmix.particles import local_maxwellian, sort_by_cell
 
         grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
@@ -167,8 +167,9 @@ class TestMicroSource:
         ps, cells = sort_by_cell(ps, grid)
         shared = (ps.x, ps.v, cells, local_maxwellian(ps.v, cells, mk, 1.0))
         sp = species1_view(mk, n_other, p)
-        cached, _ = _micro_source(sp, grid, G, True, shared)
-        fresh, _ = _micro_source(sp, grid, G, True)
+        div = _flux_divergence(G, grid.dx)
+        cached, _ = _micro_source(sp, grid, div, shared)
+        fresh, _ = _micro_source(sp, grid, div)
         assert np.array_equal(cached(ps.x, ps.v), fresh(ps.x, ps.v))
         other_v = ps.v + 0.5
         assert np.array_equal(cached(ps.x, other_v), fresh(ps.x, other_v))
@@ -176,7 +177,7 @@ class TestMicroSource:
     def test_source_moments_equal_remainder_flux_gradient(self):
         # <m(v) S> must reduce to the gradients of the deposited <m v g>
         # rows: the complement terms and cross drive carry zero moments
-        from kinmix.driver import _centered_dx, _micro_source
+        from kinmix.driver import _centered_dx, _flux_divergence, _micro_source
 
         grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
         x = grid.x_centers
@@ -185,7 +186,7 @@ class TestMicroSource:
         rng = np.random.default_rng(8)
         G = rng.normal(size=(4, grid.Nx)) * 0.01
         p = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
-        src, _ = _micro_source(species1_view(mk, n_other, p), grid, G, transport=True)
+        src, _ = _micro_source(species1_view(mk, n_other, p), grid, _flux_divergence(G, grid.dx))
 
         vq = np.linspace(-12, 12, 4001)
         wq = np.full(vq.size, vq[1] - vq[0])
@@ -229,6 +230,25 @@ class TestStep:
             assert diag.refined_cells == 0 and 0.0 < diag.match_residual < 1e-12
 
 
+    def test_macro_step_reads_the_particle_flux_divergence(self):
+        # the macro state advances by fv_step fed with the centred divergence
+        # of each pushed species' deposited moments; species 2 of the cosine
+        # preset carries a remainder, so leaving the divergence out shows
+        from kinmix.driver import _flux_divergence
+        from kinmix.macrofv import fv_step
+        from kinmix.particles import deposit, push, sort_by_cell
+
+        cfg = RunConfig(**self.STEP_CFGS["general"])
+        grid, p, sim = setup_simulation(cfg)
+        divs = []
+        for ps in (sim.ps1, sim.ps2):
+            moved, cells = sort_by_cell(push(ps, cfg.dt, grid), grid)
+            divs.append(_flux_divergence(deposit(moved, grid, cells=cells), grid.dx))
+        assert np.abs(divs[1]).max() > 1e-3
+        want = fv_step(sim.macro, tuple(divs), p, cfg.dt)
+        got, _ = step(sim, p, grid, cfg.dt)
+        assert np.array_equal(got.macro.U1, want.U1) and np.array_equal(got.macro.U2, want.U2)
+
     STEP_CFGS = {
         "general": dict(mode="general", Nx=16, Nv=32, Np1=3000, Np2=4000, seed=4, dt=1e-2, t_end=0.0,
                         m1=1.0, m2=1.0, preset="cosine-perturbed", beta=0.1),
@@ -245,9 +265,8 @@ class TestStep:
     def test_step_neither_mutates_nor_aliases_its_input(self, mode):
         cfg = RunConfig(**self.STEP_CFGS[mode])
         grid, p, sim = setup_simulation(cfg)
-        transport = mode == "general"
-        once, _ = step(sim, p, grid, cfg.dt, transport)
-        again, _ = step(sim, p, grid, cfg.dt, transport)
+        once, _ = step(sim, p, grid, cfg.dt)
+        again, _ = step(sim, p, grid, cfg.dt)
         assert all(np.array_equal(a, b) for a, b in zip(self.arrays(once), self.arrays(again)))
         assert once.work is again.work is sim.work
 
@@ -255,7 +274,7 @@ class TestStep:
         frozen = [a.copy() for a in self.arrays(kept)]
         later = kept
         for _ in range(2):
-            later, _ = step(later, p, grid, cfg.dt, transport)
+            later, _ = step(later, p, grid, cfg.dt)
             buffers = list(later.work.buffers.values())
             assert buffers
             for ps in (later.ps1, later.ps2):
@@ -287,15 +306,15 @@ class TestStep:
     @pytest.mark.parametrize("species", [1, 2])
     def test_nan_state_raises_positivity_error_naming_species(self, species):
         # NaN fails every comparison; the watchdog must still stop it at the
-        # step where it appears
-        grid = GridSpec(Nx=16, Nv=64)
+        # step where it appears, on one cell too, where no CFL bound is checked
         p = validate_params(MixtureParams())
-        sim = equilibrium_state(grid, p)
-        U = sim.macro.U1 if species == 1 else sim.macro.U2
-        U[5, 2] = np.nan
-        for transport in (True, False):
+        for Nx in (16, 1):
+            grid = GridSpec(Nx=Nx, Nv=64)
+            sim = equilibrium_state(grid, p)
+            U = sim.macro.U1 if species == 1 else sim.macro.U2
+            U[5 % Nx, 2] = np.nan
             with pytest.raises(PositivityError, match=rf"species {species}"):
-                step(sim, p, grid, dt=5e-3, transport=transport)
+                step(sim, p, grid, dt=5e-3)
 
     def test_sim_state_type_hints_resolve(self):
         import typing
@@ -361,6 +380,27 @@ class TestHomogeneousMode:
         assert np.isfinite(ana).all()
         assert ana[0] == pytest.approx(0.9) and abs(ana[-1]) < 1e-12
         assert np.allclose(np.abs(ana), res.series["gap_T_inf"], rtol=0, atol=1e-12)
+
+    def test_general_mode_on_one_cell_is_homogeneous_mode_bit_for_bit(self):
+        # one step path for every mode: on one cell every transport term is
+        # exactly zero, so dt = 5e-2, above the FV bound 0.0129 of this cell,
+        # steps as the homogeneous mode does, and no particle moves
+        base = dict(Nx=1, Lx=0.1, Nv=64, Np1=3000, Np2=2000, seed=1, dt=5e-2, t_end=0.5, output_every=2,
+                    preset="v4-maxwellian")
+        gen = run(RunConfig(mode="general", **base))
+        hom = run(RunConfig(mode="homogeneous", **base))
+        assert np.array_equal(gen.times, hom.times) and set(gen.series) < set(hom.series)
+        for key in gen.series:
+            assert np.array_equal(gen.series[key], hom.series[key]), key
+        a, b = gen.final_state, hom.final_state
+        for x, y in ((a.ps1.w, b.ps1.w), (a.ps2.w, b.ps2.w), (a.macro.U1, b.macro.U1), (a.macro.U2, b.macro.U2)):
+            assert np.array_equal(x, y)
+        assert np.abs(a.ps1.w).max() > 0.0
+
+        grid, p, sim = setup_simulation(RunConfig(mode="general", **base))
+        assert np.array_equal(a.ps1.x, sim.ps1.x) and np.array_equal(a.ps2.x, sim.ps2.x)
+        stepped, _ = step(sim, p, grid, base["dt"])
+        assert stepped.ps1.x is sim.ps1.x and stepped.ps2.x is sim.ps2.x
 
     def test_momentum_energy_drift_tiny(self):
         # the exchange map keeps the conserved combinations to round-off
