@@ -21,7 +21,7 @@ from .homogeneous import (
     moment_ode_step,
     relative_entropy,
 )
-from .macrofv import MacroState, exchange_map, fv_step, maxwellian_flux, numerical_flux
+from .macrofv import MacroState, exchange_map, fv_step, maxwellian_flux
 from .model import (
     ExchangeQuantities,
     MixtureParams,

@@ -2,7 +2,10 @@
 interspecies exchange law every solver in the package uses.
 
 Conserved vectors per cell are U_k = (n_k, n_k u_k, <v^2 f_k>).  Transport is
-Rusanov + forward Euler at CFL number 1/2; interspecies relaxation follows as
+Rusanov + forward Euler at CFL number 1/2, built from one inversion of each
+species' U per step: `maxwellian_flux` returns the Maxwellian flux and its
+wave-speed bound together, and the step forms the CFL bound and the interface
+fluxes from those and their neighbours'.  Interspecies relaxation follows as
 a split step, `exchange_map`: with the densities fixed the exchange ODE of
 `exchange_increment` has a closed form, so the map is exact at any step and
 needs no sub-steps however stiff the interspecies rate.  Periodic boundaries
@@ -31,7 +34,6 @@ class MacroState:
     U1: np.ndarray  # (Nx, 3)
     U2: np.ndarray  # (Nx, 3)
     dx: float
-    t: float = 0.0
 
 
 def conserved_from_moments(M: SpeciesMoments, mass_ratio: float) -> np.ndarray:
@@ -54,25 +56,14 @@ def moments_from_conserved(U: np.ndarray, mass_ratio: float, where: str = "") ->
     return SpeciesMoments(n=n, u=u, T=T)
 
 
-def maxwellian_flux(U: np.ndarray, mass_ratio: float) -> np.ndarray:
-    """<m(v) v M> = (n u, n(T/mr + u^2), n u (u^2 + 3 T/mr)) from Gaussian moments."""
-    M = moments_from_conserved(U, mass_ratio)
+def maxwellian_flux(U: np.ndarray, mass_ratio: float, where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """(F, s) from one inversion of U: the flux <m(v) v M> =
+    (n u, n(T/mr + u^2), n u (u^2 + 3 T/mr)) from Gaussian moments, and its
+    per-cell wave-speed bound s = |u| + sqrt(3 T/mr)."""
+    M = moments_from_conserved(U, mass_ratio, where)
     th = M.T / mass_ratio
-    return np.stack([M.n * M.u, M.n * (th + M.u * M.u), M.n * M.u * (M.u * M.u + 3.0 * th)], axis=-1)
-
-
-def signal_speed(U: np.ndarray, mass_ratio: float, where: str = "") -> np.ndarray:
-    """Per-cell wave-speed bound |u| + sqrt(3 T/mr) of the Maxwellian flux."""
-    M = moments_from_conserved(U, mass_ratio, where=where)
-    return np.abs(M.u) + np.sqrt(3.0 * M.T / mass_ratio)
-
-
-def numerical_flux(U_left: np.ndarray, U_right: np.ndarray, mass_ratio: float) -> np.ndarray:
-    """Rusanov (local Lax-Friedrichs) interface flux."""
-    FL = maxwellian_flux(U_left, mass_ratio)
-    FR = maxwellian_flux(U_right, mass_ratio)
-    s = np.maximum(signal_speed(U_left, mass_ratio), signal_speed(U_right, mass_ratio))[..., None]
-    return 0.5 * (FL + FR) - 0.5 * s * (U_right - U_left)
+    F = np.stack([M.n * M.u, M.n * (th + M.u * M.u), M.n * M.u * (M.u * M.u + 3.0 * th)], axis=-1)
+    return F, np.abs(M.u) + np.sqrt(3.0 * M.T / mass_ratio)
 
 
 def exchange_increment(m1: SpeciesMoments, m2: SpeciesMoments, p: MixtureParams):
@@ -160,26 +151,33 @@ def fv_step(
     p: MixtureParams,
     dt: float,
 ) -> MacroState:
-    """One macro step: forward-Euler transport and particle-flux coupling,
-    then interspecies exchange by the exact `exchange_map` over dt, which
-    stops a non-positive transported state with a `PositivityError`.
+    """One macro step: forward-Euler Rusanov transport and particle-flux
+    coupling, then interspecies exchange by the exact `exchange_map` over
+    dt, which stops a non-positive transported state with a
+    `PositivityError`.
+
+    Each species' U is inverted once (`maxwellian_flux`, species 1 first)
+    for its flux F and wave speed s, which give the CFL bound and, with
+    their right neighbours (a roll by -1), the interface flux
+    F_{i+1/2} = (F_i + F_{i+1})/2 - max(s_i, s_{i+1}) (U_{i+1} - U_i)/2.
 
     particle_flux_div is a pair of (Nx, 3) arrays holding the per-cell
     divergence of <m(v) v g_kk>, or None for no kinetic coupling.  On one
     periodic cell the Rusanov difference is F - F, exactly zero, so the CFL
     bound is not checked and the step is `exchange_map` bit for bit.
     """
-    mr2 = p.mass_ratio2
-    smax = float(max(np.max(signal_speed(state.U1, 1.0, "(species 1)")), np.max(signal_speed(state.U2, mr2, "(species 2)"))))
-    dt_max = 0.5 * state.dx / smax
+    F1, s1 = maxwellian_flux(state.U1, 1.0, "(species 1)")
+    F2, s2 = maxwellian_flux(state.U2, p.mass_ratio2, "(species 2)")
+    dt_max = 0.5 * state.dx / float(max(np.max(s1), np.max(s2)))
     if len(state.U1) > 1 and dt > dt_max:
         raise CFLError(f"dt={dt} violates CFL: need dt <= {dt_max}")
 
     U1, U2 = state.U1.copy(), state.U2.copy()
-    for U, Unew, mr in ((state.U1, U1, 1.0), (state.U2, U2, mr2)):
-        Fh = numerical_flux(U, np.roll(U, -1, axis=0), mr)  # F_{i+1/2}
+    for U, Unew, F, s in ((state.U1, U1, F1, s1), (state.U2, U2, F2, s2)):
+        FR, sR, UR = (np.roll(a, -1, axis=0) for a in (F, s, U))  # cell i+1
+        Fh = 0.5 * (F + FR) - 0.5 * np.maximum(s, sR)[..., None] * (UR - U)  # F_{i+1/2}
         Unew -= dt / state.dx * (Fh - np.roll(Fh, 1, axis=0))
     if particle_flux_div is not None:
         U1 -= dt * particle_flux_div[0]
         U2 -= dt * particle_flux_div[1]
-    return MacroState(*exchange_map(U1, U2, p, dt), dx=state.dx, t=state.t + dt)
+    return MacroState(*exchange_map(U1, U2, p, dt), dx=state.dx)

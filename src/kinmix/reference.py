@@ -51,7 +51,6 @@ class GridDistribution:
     f1: np.ndarray
     f2: np.ndarray
     grid: GridSpec
-    t: float = 0.0
     work: StepWorkspace = field(default_factory=StepWorkspace, repr=False, compare=False)
 
 
@@ -149,4 +148,4 @@ def dvm_step(state: GridDistribution, p: MixtureParams, dt: float) -> GridDistri
     f1 = _upwind_transport(state.f1, grid, dt, work, "f1")
     f2 = _upwind_transport(state.f2, grid, dt, work, "f2")
     f1, f2 = _relax(f1, f2, grid, p, dt, work)
-    return GridDistribution(f1=f1, f2=f2, grid=grid, t=state.t + dt, work=work)
+    return GridDistribution(f1=f1, f2=f2, grid=grid, work=work)

@@ -3,15 +3,17 @@
 Deliberately kept free of package internals beyond the data types: every
 expected value here comes from trapezoid quadrature on a wide fine grid, from
 a closed formula written out in full, or from a plain per-element loop, so the
-package is checked against something it does not share code with.  The one
-exception is `relaxation_source`, which only arranges the package's exchange
-increment as moment-level source rows for the tests of that increment.
+package is checked against something it does not share code with.  The two
+exceptions reuse the package's exchange law: `relaxation_source` only arranges
+its exchange increment as moment-level source rows for the tests of that
+increment, and `rusanov_fv_step` applies `exchange_map` after a transport
+update it writes out cell by cell.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from kinmix.macrofv import exchange_increment, moments_from_conserved
+from kinmix.macrofv import exchange_increment, exchange_map, moments_from_conserved
 
 
 def vgrid(half_width=30.0, n=6001):
@@ -178,3 +180,31 @@ def relaxation_source(U1, U2, p):
     k = exchange_increment(moments_from_conserved(U1, 1.0), moments_from_conserved(U2, p.mass_ratio2), p)
     z = np.zeros_like(k[0])
     return np.stack([z, k[0], k[1]], axis=-1), np.stack([z, k[2], k[3]], axis=-1)
+
+
+def rusanov_fv_step(U1, U2, dx, p, dt):
+    """The textbook macro step on periodic cells, interface by interface:
+    each species' Maxwellian flux F_i = (n u, n(th + u^2), n u (u^2 + 3 th))
+    and wave speed s_i = |u| + sqrt(3 th), th = T/mr, per cell; the Rusanov
+    flux F_{i+1/2} = (F_i + F_{i+1})/2 - max(s_i, s_{i+1}) (U_{i+1} - U_i)/2
+    at each interface; U_i - dt/dx (F_{i+1/2} - F_{i-1/2}) per cell; then the
+    package's `exchange_map` over dt."""
+    out = []
+    for U, mr in ((U1, 1.0), (U2, p.mass_ratio2)):
+        Nx = len(U)
+        F, s = np.empty((Nx, 3)), np.empty(Nx)
+        for i in range(Nx):
+            n = float(U[i, 0])
+            u = float(U[i, 1]) / n
+            th = float(U[i, 2]) / n - u * u
+            F[i] = (n * u, n * (th + u * u), n * u * (u * u + 3.0 * th))
+            s[i] = abs(u) + np.sqrt(3.0 * th)
+        Fh = np.empty((Nx, 3))  # Fh[i] is F_{i+1/2}
+        for i in range(Nx):
+            r = (i + 1) % Nx
+            Fh[i] = 0.5 * (F[i] + F[r]) - 0.5 * max(s[i], s[r]) * (U[r] - U[i])
+        new = np.empty((Nx, 3))
+        for i in range(Nx):
+            new[i] = U[i] - dt / dx * (Fh[i] - Fh[i - 1])
+        out.append(new)
+    return exchange_map(out[0], out[1], p, dt)

@@ -421,6 +421,19 @@ class TestRun:
         assert res.times[0] == 0.0
         assert len(res.snapshots) == 1
 
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(mode="reference", Nx=16, Nv=64, dt=4e-3, t_end=0.2, output_every=25,
+                  preset="cosine-perturbed", beta=0.1),
+        RunConfig(mode="homogeneous", Nx=1, Nv=64, Np1=2000, Np2=2000, seed=1, dt=1e-3, t_end=0.03,
+                  output_every=10, eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05, preset="v4-maxwellian"),
+    ], ids=["reference", "homogeneous"])
+    def test_recorded_times_are_step_multiples_ending_at_t_end(self, cfg):
+        # a running sum of dt ends at 0.20000000000000015 and 0.03000000000000002
+        res = run(cfg)
+        steps = cfg.output_every * np.arange(len(res.times))
+        assert np.array_equal(res.times, steps * cfg.dt)
+        assert res.times[-1] == cfg.t_end and res.snapshots[-1].t == cfg.t_end
+
     def test_seeded_run_bit_reproducible(self):
         cfg = RunConfig(mode="general", Nx=16, Nv=32, Np1=4000, Np2=4000, seed=11,
                         dt=1e-2, t_end=0.05, output_every=5, m1=1.0, m2=1.0,
@@ -550,9 +563,8 @@ class TestRun:
         sim, _ = step(sim, p, grid, cfg.dt)
         sim.ps2.v[:3] = [-10.0, 10.0, 0.5 * grid.Lv]
         vb = grid.v_bin_centers
-        for f, U, mr, ps in zip(_reconstruct_f(sim, p, grid), (sim.macro.U1, sim.macro.U2), (1.0, p.mass_ratio2),
-                                (sim.ps1, sim.ps2)):
-            m = moments_from_conserved(U, mr)
+        ms = moments_from_conserved(sim.macro.U1, 1.0), moments_from_conserved(sim.macro.U2, p.mass_ratio2)
+        for f, m, mr, ps in zip(_reconstruct_f(sim, ms, p, grid), ms, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
             M = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
             vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
             ci = np.floor(ps.x / grid.dx).astype(np.int64) % grid.Nx

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kinmix import macrofv
 from kinmix.macrofv import (
     CFLError,
     MacroState,
@@ -11,14 +12,13 @@ from kinmix.macrofv import (
     fv_step,
     maxwellian_flux,
     moments_from_conserved,
-    numerical_flux,
     relaxation_substeps,
     two_rate,
 )
 from kinmix.homogeneous import moment_ode_step
 from kinmix.model import MixtureParams, SpeciesMoments, maxwellian, validate_params
 
-from oracles import gaussian, raw_moment, relaxation_source, vgrid
+from oracles import gaussian, raw_moment, relaxation_source, rusanov_fv_step, vgrid
 
 P_005 = validate_params(MixtureParams(eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05))
 
@@ -33,15 +33,17 @@ def baseline_state(Nx=16):
 class TestMaxwellianFlux:
     def test_symmetric_maxwellian(self):
         U = conserved_from_moments(SpeciesMoments(n=np.array([2.0]), u=np.array([0.0]), T=np.array([0.7])), 1.0)
-        F = maxwellian_flux(U, 1.0)
+        F, s = maxwellian_flux(U, 1.0)
         assert F[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert F[0, 1] == pytest.approx(2.0 * 0.7, rel=1e-14)
         assert F[0, 2] == pytest.approx(0.0, abs=1e-15)
+        assert s[0] == pytest.approx(np.sqrt(3.0 * 0.7), rel=1e-14)
 
     def test_reference_values_and_quadrature(self):
         U = conserved_from_moments(SpeciesMoments(n=np.array([1.0]), u=np.array([0.5]), T=np.array([1.0])), 1.0)
-        F = maxwellian_flux(U, 1.0)
+        F, s = maxwellian_flux(U, 1.0)
         assert np.allclose(F[0], [0.5, 1.25, 1.625], atol=1e-14)
+        assert s[0] == pytest.approx(0.5 + np.sqrt(3.0), rel=1e-14)
         v, w = vgrid()
         fv = gaussian(1.0, 0.5, 1.0, v)
         quad = [raw_moment(fv, v, w, k) for k in (1, 2, 3)]
@@ -50,14 +52,17 @@ class TestMaxwellianFlux:
     def test_linear_in_density(self):
         m = SpeciesMoments(n=np.array([0.8]), u=np.array([-0.3]), T=np.array([0.4]))
         m2 = SpeciesMoments(n=2 * m.n, u=m.u, T=m.T)
-        F1 = maxwellian_flux(conserved_from_moments(m, 1.5), 1.5)
-        F2 = maxwellian_flux(conserved_from_moments(m2, 1.5), 1.5)
+        F1, s1 = maxwellian_flux(conserved_from_moments(m, 1.5), 1.5)
+        F2, s2 = maxwellian_flux(conserved_from_moments(m2, 1.5), 1.5)
         assert np.allclose(F2, 2 * F1, rtol=1e-14)
+        # the wave speed does not see the density; |u| + sqrt(3 T/mr)
+        assert s1[0] == pytest.approx(0.3 + np.sqrt(3.0 * 0.4 / 1.5), rel=1e-14)
+        assert s2[0] == pytest.approx(s1[0], rel=1e-14)
 
     def test_nonpositive_temperature_raises(self):
         U = np.array([[1.0, 0.0, -0.5]])
-        with pytest.raises(PositivityError):
-            maxwellian_flux(U, 1.0)
+        with pytest.raises(PositivityError, match=r"\(species 2\)"):
+            maxwellian_flux(U, 1.0, "(species 2)")
 
 
 class TestPositivity:
@@ -119,12 +124,7 @@ class TestRelaxationSubsteps:
         assert relaxation_substeps(dt, np.array([0.2, 1.0]), 1.0, self.P) == int(np.ceil(4.0 * dt))
 
 
-class TestNumericalFlux:
-    def test_consistency(self):
-        st = baseline_state()
-        F = numerical_flux(st.U1, st.U1, 1.0)
-        assert np.allclose(F, maxwellian_flux(st.U1, 1.0), rtol=1e-14)
-
+class TestFvStep:
     def test_single_step_conservation_audit(self):
         # smooth periodic data; total U changes only through sources
         Nx = 32
@@ -144,8 +144,36 @@ class TestNumericalFlux:
             tot_after = np.sum(new.U1[:, k] + 1.5 * new.U2[:, k])
             assert tot_after == pytest.approx(tot_before, abs=1e-12)
 
+    def test_matches_cellwise_rusanov_oracle(self):
+        # non-uniform in every moment of both species, so every interface
+        # carries a different flux and dissipation
+        Nx = 32
+        x = (np.arange(Nx) + 0.5) * (4 * np.pi / Nx)
+        U1 = conserved_from_moments(SpeciesMoments(n=1.0 + 0.2 * np.cos(x / 2), u=0.3 * np.sin(x / 2),
+                                                   T=1.0 + 0.3 * np.sin(x)), 1.0)
+        U2 = conserved_from_moments(SpeciesMoments(n=1.2 - 0.3 * np.sin(x / 2), u=0.1 - 0.4 * np.cos(x),
+                                                   T=0.5 + 0.2 * np.cos(x / 2)), 1.5)
+        st = MacroState(U1=U1, U2=U2, dx=4 * np.pi / Nx)
+        dt = 1e-2
+        new = fv_step(st, None, P_005, dt)
+        ref = rusanov_fv_step(U1, U2, st.dx, P_005, dt)
+        for got, want in zip((new.U1, new.U2), ref):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=0))
 
-class TestFvStep:
+    @pytest.mark.parametrize("Nx", [16, 1])
+    def test_inverts_each_species_twice(self, monkeypatch, Nx):
+        # once for its flux and wave speed, once in the exchange map
+        calls = []
+        real = macrofv.moments_from_conserved
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(macrofv, "moments_from_conserved", counting)
+        fv_step(baseline_state(Nx=Nx), None, P_005, dt=1e-3)
+        assert len(calls) == 4
+
     def test_uniform_equal_state_preserved(self):
         Nx = 8
         ones = np.ones(Nx)
@@ -214,7 +242,7 @@ class TestFvStep:
         # applies, and the step is the exchange map bit for bit
         new = fv_step(st, None, P_005, dt=1.0)
         U1, U2 = exchange_map(st.U1, st.U2, P_005, 1.0)
-        assert np.array_equal(new.U1, U1) and np.array_equal(new.U2, U2) and new.t == 1.0
+        assert np.array_equal(new.U1, U1) and np.array_equal(new.U2, U2) and new.dx == st.dx
 
     def test_particle_flux_divergence_applied(self):
         st = baseline_state(Nx=8)

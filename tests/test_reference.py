@@ -229,10 +229,12 @@ class TestWatchdog:
         cfg = RunConfig(mode="reference", Nx=4, Nv=64, dt=1e-2, t_end=3e-2, output_every=3,
                         preset="cosine-perturbed", beta=0.1)
         real_step = reference.dvm_step
+        calls = []
 
         def poisoning_step(state, p, dt):
             out = real_step(state, p, dt)
-            if state.t == 0.0:
+            calls.append(1)
+            if len(calls) == 1:
                 poison(out.f2, fault)
             return out
 
