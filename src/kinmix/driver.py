@@ -9,7 +9,10 @@ particles and sort them back into cell order, deposit and differentiate the
 kinetic moments, advance the macro state (`macrofv.fv_step`), rebuild the
 Maxwellian fields and update particle weights (Duhamel against the per-cell
 damping rate), then re-match so every cell's remainder keeps zero discrete
-moments.  On one periodic cell (homogeneous mode) every transport term is
+moments.  The source, the weight update and the matching of a species run
+one block of whole cells at a time (`particles.blocks`), so that their
+passes over the particles stay in cache; the split changes no bit of a
+result.  On one periodic cell (homogeneous mode) every transport term is
 exactly zero, so nothing is pushed or deposited.  A species relaxes through
 its `model.relaxations` view, at the damping rate intra + inter.
 
@@ -22,6 +25,7 @@ summed moment triple per cell:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .model import MixtureParams, Relaxation, SpeciesMoments, exchange_quantitie
 from .particles import (
     Cells,
     ParticleSet,
+    blocks,
     cell_fields,
     deposit,
     init_particles,
@@ -90,18 +95,20 @@ def _transport(ps: ParticleSet, grid: GridSpec, dt: float):
     return ps, cells, _flux_divergence(deposit(ps, grid, cells=cells), grid.dx)
 
 
-def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, shared=None,
-                  work: StepWorkspace | None = None):
+def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, work: StepWorkspace | None = None):
     """Vectorized micro source S(x, v) for one species plus its per-cell
     damping rate intra + inter.
 
     sp is the species' relaxation view (`model.relaxations`), flux_div the
     species' `_flux_divergence`, or None on one cell, where the source keeps
     only its interspecies term because every x-derivative is exactly zero.
-    shared is an optional (positions, velocities, Cells, LocalMaxwellian)
-    tuple reused when the source is evaluated at exactly those two arrays.
-    The source is written into the workspace's "source" buffer (a new array
-    without `work`), which the next evaluation overwrites.
+    The per-cell coefficients are built once, on the whole grid.  The source
+    takes an optional third argument, shared: a (positions, velocities,
+    Cells, LocalMaxwellian) tuple reused when the source is evaluated at
+    exactly those two arrays, whose grouping may be one block's
+    (`particles.blocks`).  The source is written into the workspace's
+    "source" buffer (a new array without `work`), which the next evaluation
+    overwrites.
 
     In the scaled Hermite basis h1 = (v-u)/sigma, h2 = h1^2 - 1 of the cell
     Maxwellian the source is M_k(v) [P(h) - v Q(h)] + rate M_kj(v), where P
@@ -141,18 +148,21 @@ def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, s
         sig = np.sqrt(th)
         Q0, Q1, Q2 = A - Cc * th, B * sig, Cc * th
         poly = (poly[0] - u * Q0, poly[1] - u * Q1 - sig * Q0, poly[2] - u * Q2 - sig * Q1, -sig * Q2)
+    # M_kj's velocity, variance and amplitude
+    cross = (sp.u_cross, theta_cross, rate * n)
 
-    def source_eval(x, v):
+    def source_eval(x, v, shared=None):
         if shared is not None and x is shared[0] and v is shared[1]:
             cells, loc = shared[2], shared[3]
         else:
             cells = Cells(grid, x)
             loc = local_maxwellian(v, cells, sp.moments, sp.mr)
+        span = cells.span
         ws = step_workspace(work)
-        out = eval_projection(poly, loc.h1, loc.M, cells.expand, ws.buffer("source", v.size))
+        out = eval_projection([c[span] for c in poly], loc.h1, loc.M, cells.expand, ws.buffer("source", v.size))
         # rate M_kj(v), into one buffer
         z = ws.buffer("scratch", v.size)
-        out += maxwellian_samples(v, sp.u_cross, theta_cross, rate * n, cells.expand, z, z)
+        out += maxwellian_samples(v, *(c[span] for c in cross), cells.expand, z, z)
         return out
 
     return source_eval, sp.intra + sp.inter
@@ -160,14 +170,31 @@ def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, s
 
 def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
     """Weight update and matching of one cell-sorted species grouped by
-    `cells`, through the buffers of `work`; the cell Maxwellian at its
-    particles is evaluated once and shared by the source, the update and the
-    matching.  Returns (matched set, skipped cells, largest post-match
-    residual, re-solved cells)."""
-    loc = local_maxwellian(ps.v, cells, sp.moments, sp.mr, work)
-    se, lam = _micro_source(sp, grid, flux_div, (ps.x, ps.v, cells, loc), work)
-    ps = update_weights(ps, se, lam, dt, grid, cells=cells, work=work)
-    return match(ps, grid, sp.moments, sp.mr, idx=cells.key, local=loc, cells=cells, work=work)
+    `cells`, block by block (`particles.blocks`), through the buffers of
+    `work`.  The source's per-cell coefficients are built once on the whole
+    grid; in each block the cell Maxwellian at its particles is evaluated
+    once and shared by the source, the update and the matching, and the
+    matched weights go into one new array for the whole set.  Returns
+    (matched set, skipped cells, largest post-match residual, re-solved
+    cells)."""
+    source_eval, lam = _micro_source(sp, grid, flux_div, work)
+    volume = grid.Lx * grid.Lv / ps.Np
+    parts = blocks(ps, cells)
+    w = np.empty(ps.Np) if len(parts) > 1 else None
+    diags = []
+    for sl, psb, cb in parts:
+        span = cb.span
+        mk = SpeciesMoments(n=sp.moments.n[span], u=sp.moments.u[span], T=sp.moments.T[span])
+        loc = local_maxwellian(psb.v, cb, mk, sp.mr, work)
+        se = partial(source_eval, shared=(psb.x, psb.v, cb, loc))
+        psb = update_weights(psb, se, lam[span], dt, grid, volume, cells=cb, work=work)
+        matched, *diag = match(psb, grid, mk, sp.mr, idx=cb.key, local=loc, cells=cb, work=work)
+        if w is not None:
+            w[sl] = matched.w
+        diags.append(diag)
+    skipped, residual, refined = zip(*diags)
+    matched = matched if w is None else ParticleSet(x=ps.x, v=ps.v, w=w)
+    return matched, sum(skipped), float(np.max(residual)), sum(refined)
 
 
 def step(sim: SimState, p: MixtureParams, grid: GridSpec, dt: float):

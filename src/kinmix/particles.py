@@ -19,13 +19,22 @@ internally (`Cells`) and answer in the caller's order.  The time step builds
 the grouping once per species (`sort_by_cell`) and hands it to every call
 that needs it (`cells=`).
 
-The particle-length temporaries of a step live in a `grids.StepWorkspace`
-that the run keeps across steps, and are written with `out=`: after the first
-step a step allocates little beyond the arrays of the new state.  Every
-function that takes a workspace (`work=`) also runs without one, and then
-allocates its buffers.  The step relaxes one species after the other through
+The time step relaxes a species block by block (`blocks`): a block is a run
+of whole consecutive cells that together hold at most `BLOCK` particles, or a
+single larger cell.  Every per-particle operation is elementwise and every
+per-cell sum, determinant and solve belongs to one cell, so the split changes
+no bit of a result; it keeps each pass over a block's arrays in cache.  A
+block's grouping covers the cells `Cells.span` of the grid, and the functions
+handed one read per-cell inputs for those cells only.
+
+The particle temporaries of a step live in a `grids.StepWorkspace` that the
+run keeps across steps, and are written with `out=`: after the first step a
+step allocates little beyond the arrays of the new state.  The buffers are
+sized by the block, not by the set.  Every function that takes a workspace
+(`work=`) also runs without one, and then allocates its buffers.  The step
+relaxes one block after the other, and one species after the other, through
 the same buffers, so one workspace serves both species and grows to the
-larger set.  Buffers whose lifetimes do not overlap share storage:
+largest block.  Buffers whose lifetimes do not overlap share storage:
 
     "h1", "M"    the cell Maxwellian at the particles (source, update, match)
     "source"     the micro source, then the matching correction
@@ -47,6 +56,12 @@ from .projection import eval_projection, hermite_gram, maxwellian_samples
 # Pairwise summation of n terms errs by at most ~log2(n) eps times that
 # scale (17 eps at n = 1e5), and well-conditioned cells read about 1 eps.
 MATCH_RTOL = 64.0 * np.finfo(float).eps
+
+# most particles in one block of the relaxation step (`blocks`): a block's
+# float buffers are then 512 KB each, so one pass over a block stays in a
+# core's L2 cache.  Measured at 2 x 5e5 particles: 2^15 to 2^16 is fastest,
+# 2^14 pays more per-block Python overhead than it saves, above 2^17 gains nothing
+BLOCK = 1 << 16
 
 
 @dataclass
@@ -70,7 +85,9 @@ class Cells:
     `order` permutes the caller's particles into cell order (stable; None
     when they already are in it).  In cell order, cell c holds counts[c]
     consecutive particles, and `key` holds their cell indices in the smallest
-    unsigned dtype that fits Nx, which numpy sorts by radix.
+    unsigned dtype that fits Nx, which numpy sorts by radix.  `span` is the
+    slice of the grid's cells that the grouping covers, all of them or one
+    block's (`blocks`); counts and per-cell results run over those cells.
     """
 
     def __init__(self, grid: GridSpec, x: np.ndarray, idx: np.ndarray | None = None):
@@ -81,14 +98,25 @@ class Cells:
         if key.size > 1 and not np.all(key[1:] >= key[:-1]):
             self.order = np.argsort(key, kind="stable")
             key = key[self.order]
-        self.key = key
         starts = np.searchsorted(key, np.arange(grid.Nx, dtype=key.dtype))
-        self.counts = np.diff(starts, append=key.size)
-        filled = self.counts > 0
+        self._segments(slice(0, grid.Nx), key, starts, np.diff(starts, append=key.size))
+
+    def _segments(self, span: slice, key: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+        self.span, self.key, self.counts = span, key, counts
+        filled = counts > 0
         # reduceat reads an empty segment as the element at its start, so
         # only filled cells are reduced and the others are zeroed
         self._filled = None if filled.all() else filled
         self._starts = starts if self._filled is None else starts[filled]
+
+    def _block(self, c0: int, c1: int, p0: int, p1: int) -> "Cells":
+        """The grouping of cells c0..c1-1 of a whole-grid grouping in cell
+        order, whose particles are p0..p1-1."""
+        b = Cells.__new__(Cells)
+        b.order = None
+        counts = self.counts[c0:c1]
+        b._segments(slice(c0, c1), self.key[p0:p1], np.cumsum(counts) - counts, counts)
+        return b
 
     def sorted(self, a: np.ndarray) -> np.ndarray:
         """Per-particle array in caller order -> cell order (no copy if sorted)."""
@@ -192,6 +220,32 @@ def sort_by_cell(ps: ParticleSet, grid: GridSpec):
     return ps, cells
 
 
+def blocks(ps: ParticleSet, cells: Cells) -> list:
+    """A cell-ordered set and its grouping (`sort_by_cell`) split into the
+    blocks of the relaxation step: runs of whole consecutive cells that
+    together hold at most BLOCK particles, or one larger cell, with any empty
+    cells around it.  Returns (particle slice, block set, block `Cells`)
+    triples in cell order; a set within BLOCK, or on one cell, is one block:
+    (slice(None), ps, cells) itself."""
+    counts = cells.counts
+    if ps.Np <= BLOCK or counts.size == 1:
+        return [(slice(None), ps, cells)]
+    ends = np.cumsum(counts)
+    out = []
+    c0 = 0
+    while c0 < counts.size:
+        p0 = int(ends[c0] - counts[c0])
+        # as many cells as fit, but at least up to the first filled one
+        c1 = max(int(np.searchsorted(ends, p0 + BLOCK, "right")), int(np.searchsorted(ends, p0, "right")) + 1)
+        if ends[c1 - 1] == ps.Np:  # only empty cells follow
+            c1 = counts.size
+        p1 = int(ends[c1 - 1])
+        sl = slice(p0, p1)
+        out.append((sl, ParticleSet(x=ps.x[sl], v=ps.v[sl], w=ps.w[sl]), cells._block(c0, c1, p0, p1)))
+        c0 = c1
+    return out
+
+
 def _weighted_sums(ps: ParticleSet, grid: GridSpec, rows: int, cells: Cells | None) -> np.ndarray:
     """Per-cell sums of w v^j for j < rows, shape (rows, Nx)."""
     if cells is None:
@@ -224,6 +278,7 @@ def update_weights(
     lam,
     dt: float,
     grid: GridSpec,
+    volume: float,
     cells: Cells | None = None,
     work: StepWorkspace | None = None,
 ) -> ParticleSet:
@@ -232,25 +287,28 @@ def update_weights(
     dw/dt = -lam w + s with s frozen over the step gives
     w <- w e^{-lam dt} + (1 - e^{-lam dt})/lam * s; lam -> 0 degrades to
     forward Euler.  source_eval(x, v) is the non-stiff micro source,
-    vectorized; lam is one damping rate per cell, shape (Nx,), or a scalar.
-    The decay and gain factors are formed per cell and then spread over the
-    cell's particles (cells: their grouping, built when omitted).  The new
-    weights are the workspace's "weights" buffer (a new array without
-    `work`), which the next update overwrites.
+    vectorized; lam is one damping rate per cell of `cells` (their grouping,
+    built when omitted), or a scalar.  volume is the phase-space volume a
+    particle of the species' whole set stands for, Lx Lv / Np, which turns
+    the source into weight.  The decay and gain factors are formed per cell
+    and then spread over the cell's particles.  The new weights are the
+    workspace's "weights" buffer (a new array without `work`), which the
+    next update overwrites.
     """
+    if cells is None:
+        cells = Cells(grid, ps.x)
+    nc = cells.counts.size
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0):
         raise ValueError("damping rate must be >= 0")
-    if lam.ndim and lam.shape != (grid.Nx,):
+    if lam.ndim and lam.shape != (nc,):
         raise ValueError("damping rate must be a scalar or one rate per cell")
-    lam = np.broadcast_to(lam, (grid.Nx,))
+    lam = np.broadcast_to(lam, (nc,))
     s = np.asarray(source_eval(ps.x, ps.v), dtype=float)
     decay = np.exp(-lam * dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = np.where(lam > 0.0, -np.expm1(-lam * dt) / np.where(lam > 0.0, lam, 1.0), dt)
-    gain = gain * (grid.Lx * grid.Lv / ps.Np)
-    if cells is None:
-        cells = Cells(grid, ps.x)
+    gain = gain * volume
     w = np.multiply(ps.w, cells.expand(decay), out=step_workspace(work).buffer("weights", ps.Np))
     gain = cells.expand(gain)
     gain *= s
@@ -300,21 +358,23 @@ def match(
     `local` is that basis at the particles (caller order)
     when the caller already has it, from `local_maxwellian` with the same
     Mk; `cells` is the particles' grouping, built from idx (or x) when
-    omitted.  idx stays although `cells` carries the same indices: the
-    benchmark's traced runs count the populated cells from it.
+    omitted, and Mk holds the moments of its cells.  idx stays although
+    `cells` carries the same indices: the benchmark's traced runs count the
+    populated cells from it.
 
     Returns (matched ParticleSet, number of cells skipped as unsolvable,
     largest post-match per-cell residual of a solved cell, number of
     re-solved cells); the weights come back newly allocated, in the caller's
     particle order.
     """
-    _, _, th = cell_fields(Mk, mass_ratio, grid.Nx)
+    if cells is None:
+        cells = Cells(grid, ps.x, idx)
+    counts = cells.counts
+    _, _, th = cell_fields(Mk, mass_ratio, counts.size)
     if not np.all(th > 0):
         raise ValueError("matching requires T > 0 in every cell")
 
     work = step_workspace(work)
-    if cells is None:
-        cells = Cells(grid, ps.x, idx)
     if local is None:
         local = local_maxwellian(ps.v, cells, Mk, mass_ratio, work)
     h1, M, w = (cells.sorted(a) for a in (local.h1, local.M, ps.w))
@@ -325,7 +385,6 @@ def match(
     # correction, so it is left out of both the matrix and the correction
     A = hermite_gram(M, h1, cells.sum, out=tmp)
 
-    counts = cells.counts
     scale = np.abs(A).max(axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         det_ok = np.abs(np.linalg.det(A)) > 1e-10 * np.where(scale > 0, scale, 1.0) ** 3
@@ -334,7 +393,7 @@ def match(
     skipped = int(np.count_nonzero(~good & (counts > 0)))
 
     # unsolvable cells keep a = 0, so their weights stay untouched
-    a = np.zeros((grid.Nx, 3))
+    a = np.zeros((counts.size, 3))
     a[good] = np.linalg.solve(A[good], _hermite_sums(w, h1, cells.sum, tmp)[good][..., None])[..., 0]
     corr = eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, work.buffer("source", w.size))
     out = np.subtract(w, corr)
@@ -342,7 +401,7 @@ def match(
     r, roundoff = _hermite_sums(out, h1, cells.sum, tmp, with_scale=True)
     refine = np.flatnonzero(good & np.any(np.abs(r) > MATCH_RTOL * roundoff, axis=1))
     if refine.size:
-        a = np.zeros((grid.Nx, 3))
+        a = np.zeros((counts.size, 3))
         a[refine] = np.linalg.solve(A[refine], r[refine][..., None])[..., 0]
         out -= eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, corr)
         r = _hermite_sums(out, h1, cells.sum, tmp)

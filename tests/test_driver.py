@@ -168,11 +168,10 @@ class TestMicroSource:
         shared = (ps.x, ps.v, cells, local_maxwellian(ps.v, cells, mk, 1.0))
         sp = species1_view(mk, n_other, p)
         div = _flux_divergence(G, grid.dx)
-        cached, _ = _micro_source(sp, grid, div, shared)
-        fresh, _ = _micro_source(sp, grid, div)
-        assert np.array_equal(cached(ps.x, ps.v), fresh(ps.x, ps.v))
+        src, _ = _micro_source(sp, grid, div)
+        assert np.array_equal(src(ps.x, ps.v, shared), src(ps.x, ps.v))
         other_v = ps.v + 0.5
-        assert np.array_equal(cached(ps.x, other_v), fresh(ps.x, other_v))
+        assert np.array_equal(src(ps.x, other_v, shared), src(ps.x, other_v))
 
     def test_source_moments_equal_remainder_flux_gradient(self):
         # <m(v) S> must reduce to the gradients of the deposited <m v g>
@@ -302,6 +301,64 @@ class TestStep:
             tracemalloc.stop()
         state = sum(a.nbytes for ps in (sim.ps1, sim.ps2) for a in (ps.x, ps.v, ps.w))
         assert (peak - state) / (8 * (cfg.Np1 + cfg.Np2)) <= 7.15
+
+    def test_relaxation_blocks_change_no_bit(self, monkeypatch):
+        # the relaxation runs block by block; every split gives the same
+        # states and diagnostics bit for bit: one block per filled cell
+        # (BLOCK = 1), a split mid-way with one cell above the limit, and
+        # each set as one block.  The sets have empty cells and cells of 1-2
+        # particles, which matching skips, and no particle leaves its cell.
+        import kinmix.particles as particles
+        from kinmix.driver import SimState
+
+        grid = GridSpec(Nx=8, Nv=32)
+        p = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
+        xc = grid.x_centers
+        rng = np.random.default_rng(12)
+
+        def species(counts):
+            c = np.repeat(np.arange(grid.Nx), counts)
+            x = (c + 0.5 + rng.uniform(-0.3, 0.3, c.size)) * grid.dx
+            return ParticleSet(x=x, v=rng.normal(size=c.size), w=1e-3 * rng.normal(size=c.size))
+
+        ps1 = species([300, 0, 1, 2, 80, 90, 0, 100])
+        ps2 = species([50, 120, 0, 2, 1, 60, 70, 40])
+        m1 = SpeciesMoments(n=1.0 + 0.2 * np.cos(xc / 2), u=0.1 * np.sin(xc / 2), T=1.0 + 0.1 * np.cos(xc / 2))
+        m2 = SpeciesMoments(n=1.3 + 0.1 * np.sin(xc / 2), u=-0.2 * np.cos(xc / 2), T=0.8 + 0.1 * np.sin(xc / 2))
+        macro = MacroState(U1=conserved_from_moments(m1, 1.0), U2=conserved_from_moments(m2, p.mass_ratio2), dx=grid.dx)
+
+        monkeypatch.setattr(particles, "BLOCK", 200)
+        split = particles.blocks(*particles.sort_by_cell(ps1, grid))
+        assert [b[1].Np for b in split] == [300, 173, 100]
+
+        runs = []
+        for limit in (1, 200, ps1.Np):
+            monkeypatch.setattr(particles, "BLOCK", limit)
+            sim, got = SimState(macro=macro, ps1=ps1, ps2=ps2), []
+            for _ in range(2):
+                sim, diag = step(sim, p, grid, 1e-3)
+                got.append((self.arrays(sim), diag))
+            runs.append(got)
+        assert runs[0][0][1].skipped_cells == 4
+        for other in runs[1:]:
+            for (a, da), (b, db) in zip(runs[0], other):
+                assert da == db
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_step_buffers_are_sized_by_the_block(self):
+        # at Np >> BLOCK every workspace buffer holds at most one block:
+        # BLOCK floats, or the particles of the largest cell
+        from kinmix.particles import BLOCK
+
+        cfg = RunConfig(mode="general", Nx=128, Nv=32, Np1=4 * BLOCK, Np2=3 * BLOCK, seed=6, dt=1e-2, t_end=0.0,
+                        m1=1.0, m2=1.0, preset="cosine-perturbed", beta=0.1)
+        grid, p, sim = setup_simulation(cfg)
+        largest = 0
+        for _ in range(2):
+            sim, _ = step(sim, p, grid, cfg.dt)
+            largest = max([largest] + [int(np.bincount(grid.cell_index(ps.x)).max()) for ps in (sim.ps1, sim.ps2)])
+        assert sim.work.buffers
+        assert all(b.size <= max(BLOCK, largest) for b in sim.work.buffers.values())
 
     @pytest.mark.parametrize("species", [1, 2])
     def test_nan_state_raises_positivity_error_naming_species(self, species):

@@ -24,6 +24,11 @@ def v4_remainder(x, v):
     return (f - gaussian(1.0, 0.0, 5.0, v)) * np.ones_like(x)
 
 
+def volume(grid, ps):
+    """Phase-space volume per particle of a whole set, Lx Lv / Np."""
+    return grid.Lx * grid.Lv / ps.Np
+
+
 class TestInit:
     def test_zero_initial_remainder(self):
         grid = GridSpec(Nx=8, Nv=32)
@@ -128,7 +133,7 @@ class TestUpdateWeights:
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 500, seed=3)
         lam, dt = 2.5, 0.2
-        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid)
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid, volume(grid, ps))
         assert np.allclose(out.w, ps.w * np.exp(-lam * dt), rtol=0, atol=0)
 
     def test_zero_damping_is_forward_euler(self):
@@ -136,38 +141,41 @@ class TestUpdateWeights:
         ps = init_particles(v4_remainder, grid, 500, seed=3)
         src = lambda x, v: np.cos(v)
         dt = 0.1
-        out = update_weights(ps, src, 0.0, dt, grid)
+        out = update_weights(ps, src, 0.0, dt, grid, volume(grid, ps))
         expected = ps.w + dt * np.cos(ps.v) * grid.Lx * grid.Lv / ps.Np
         assert np.allclose(out.w, expected, rtol=1e-15)
+        # the gain is the volume passed, whatever the size of the set
+        out = update_weights(ps, src, 0.0, dt, grid, 2.0)
+        assert np.allclose(out.w, ps.w + dt * np.cos(ps.v) * 2.0, rtol=1e-15)
 
     def test_small_damping_approaches_euler(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 200, seed=4)
         src = lambda x, v: np.sin(v)
         dt = 0.05
-        w_euler = update_weights(ps, src, 0.0, dt, grid).w
-        w_small = update_weights(ps, src, 1e-10, dt, grid).w
+        w_euler = update_weights(ps, src, 0.0, dt, grid, volume(grid, ps)).w
+        w_small = update_weights(ps, src, 1e-10, dt, grid, volume(grid, ps)).w
         assert np.max(np.abs(w_small - w_euler)) < 1e-10
 
     def test_negative_damping_rejected(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 10, seed=4)
         with pytest.raises(ValueError):
-            update_weights(ps, lambda x, v: np.zeros_like(x), -1.0, 0.1, grid)
+            update_weights(ps, lambda x, v: np.zeros_like(x), -1.0, 0.1, grid, volume(grid, ps))
 
     def test_nan_damping_rejected(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 10, seed=4)
         lam = np.array([1.0, np.nan, 1.0, 1.0])
         with pytest.raises(ValueError, match="damping rate"):
-            update_weights(ps, lambda x, v: np.zeros_like(x), lam, 0.1, grid)
+            update_weights(ps, lambda x, v: np.zeros_like(x), lam, 0.1, grid, volume(grid, ps))
 
     def test_per_cell_rates_reach_their_particles(self):
         # one rate per cell, set unsorted: each particle decays at its own cell's rate
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 400, seed=5)
         lam, dt = np.array([0.5, 1.0, 2.0, 4.0]), 0.3
-        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid)
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid, volume(grid, ps))
         expected = ps.w * np.exp(-lam[grid.cell_index(ps.x)] * dt)
         assert np.array_equal(out.w, expected)
 
@@ -175,12 +183,12 @@ class TestUpdateWeights:
         grid = GridSpec(Nx=4)
         ps = init_particles(v4_remainder, grid, 10, seed=4)
         with pytest.raises(ValueError, match="per cell"):
-            update_weights(ps, lambda x, v: np.zeros_like(x), np.ones(10), 0.1, grid)
+            update_weights(ps, lambda x, v: np.zeros_like(x), np.ones(10), 0.1, grid, volume(grid, ps))
 
     def test_equilibrium_stays_zero(self):
         grid = GridSpec(Nx=4)
         ps = init_particles(lambda x, v: np.zeros_like(x), grid, 500, seed=6)
-        out = update_weights(ps, lambda x, v: np.zeros_like(x), 3.0, 0.1, grid)
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), 3.0, 0.1, grid, volume(grid, ps))
         assert np.all(out.w == 0.0)
 
 
@@ -330,8 +338,8 @@ class TestSortedLayout:
         assert np.array_equal(deposit(ps, grid, cells=cells), deposit(ps, grid))
         lam = np.linspace(0.0, 3.0, 8)
         src = lambda x, v: np.cos(v)  # noqa: E731
-        got = update_weights(ps, src, lam, 0.1, grid, cells=cells)
-        assert np.array_equal(got.w, update_weights(ps, src, lam, 0.1, grid).w)
+        got = update_weights(ps, src, lam, 0.1, grid, volume(grid, ps), cells=cells)
+        assert np.array_equal(got.w, update_weights(ps, src, lam, 0.1, grid, volume(grid, ps)).w)
         a, sk_a = match(ps, grid, mk, 1.0, idx=cells.key, cells=cells)[:2]
         b, sk_b = match(ps, grid, mk, 1.0)[:2]
         assert sk_a == sk_b and np.array_equal(a.w, b.w)
