@@ -13,8 +13,11 @@ moments.  The source, the weight update and the matching of a species run
 one block of whole cells at a time (`particles.blocks`), so that their
 passes over the particles stay in cache; the split changes no bit of a
 result.  On one periodic cell (homogeneous mode) every transport term is
-exactly zero, so nothing is pushed or deposited.  A species relaxes through
-its `model.relaxations` view, at the damping rate intra + inter.
+exactly zero, so nothing is pushed, indexed by cell or deposited, the macro
+step is the exchange map alone, cell fields reach the particles as the one
+cell's value (`particles.Cells.repeat`) and the reconstructed f bins the
+particles by velocity alone.  A species relaxes through its
+`model.relaxations` view, at the damping rate intra + inter.
 
 The micro source for species k combines three pieces that all project onto
 the same local Maxwellian span, so their projections are assembled from one
@@ -202,7 +205,7 @@ def step(sim: SimState, p: MixtureParams, grid: GridSpec, dt: float):
 
     Every micro-macro mode takes this one path.  On one cell
     (`grid.Nx == 1`) the transport terms vanish exactly: `_transport` neither
-    pushes nor deposits, and `fv_step` reduces to the exchange map.  The new
+    pushes, indexes nor deposits, and `fv_step` is the exchange map.  The new
     state's particle arrays are new; the input state is left as it was, and
     its workspace is handed on to the new state."""
     ps1, cells1, div1 = _transport(sim.ps1, grid, dt)
@@ -271,7 +274,8 @@ def setup_simulation(cfg: RunConfig):
 
 def _reconstruct_f(sim: SimState, moments, p: MixtureParams, grid: GridSpec):
     """f_k = Maxwellian(macro) + binned remainder on the (x, v-bin) grid;
-    `moments` holds both species' cell moments of the macro state."""
+    `moments` holds both species' cell moments of the macro state.  On one
+    cell a particle's bin is its velocity bin."""
     vb = grid.v_bin_centers
     out = []
     for m, mr, ps in zip(moments, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
@@ -280,9 +284,11 @@ def _reconstruct_f(sim: SimState, moments, p: MixtureParams, grid: GridSpec):
         vi /= grid.dv_bin
         vi = vi.astype(np.int64)
         np.clip(vi, 0, grid.Nv - 1, out=vi)
-        bins = grid.cell_index(ps.x)
-        bins *= grid.Nv
-        bins += vi
+        bins = vi
+        if grid.Nx > 1:
+            bins = grid.cell_index(ps.x)
+            bins *= grid.Nv
+            bins += vi
         H = np.bincount(bins, weights=ps.w, minlength=grid.Nx * grid.Nv)
         H /= grid.dx * grid.dv_bin
         f += H.reshape(grid.Nx, grid.Nv)

@@ -163,21 +163,23 @@ def fv_step(
 
     particle_flux_div is a pair of (Nx, 3) arrays holding the per-cell
     divergence of <m(v) v g_kk>, or None for no kinetic coupling.  On one
-    periodic cell the Rusanov difference is F - F, exactly zero, so the CFL
-    bound is not checked and the step is `exchange_map` bit for bit.
+    periodic cell the Rusanov difference is F - F, exactly zero, so the step
+    forms no flux and checks no CFL bound: it is `exchange_map` bit for bit,
+    and U is inverted only there.
     """
-    F1, s1 = maxwellian_flux(state.U1, 1.0, "(species 1)")
-    F2, s2 = maxwellian_flux(state.U2, p.mass_ratio2, "(species 2)")
-    dt_max = 0.5 * state.dx / float(max(np.max(s1), np.max(s2)))
-    if len(state.U1) > 1 and dt > dt_max:
-        raise CFLError(f"dt={dt} violates CFL: need dt <= {dt_max}")
-
-    U1, U2 = state.U1.copy(), state.U2.copy()
-    for U, Unew, F, s in ((state.U1, U1, F1, s1), (state.U2, U2, F2, s2)):
-        FR, sR, UR = (np.roll(a, -1, axis=0) for a in (F, s, U))  # cell i+1
-        Fh = 0.5 * (F + FR) - 0.5 * np.maximum(s, sR)[..., None] * (UR - U)  # F_{i+1/2}
-        Unew -= dt / state.dx * (Fh - np.roll(Fh, 1, axis=0))
+    U1, U2 = state.U1, state.U2
+    if len(U1) > 1:
+        F1, s1 = maxwellian_flux(U1, 1.0, "(species 1)")
+        F2, s2 = maxwellian_flux(U2, p.mass_ratio2, "(species 2)")
+        dt_max = 0.5 * state.dx / float(max(np.max(s1), np.max(s2)))
+        if dt > dt_max:
+            raise CFLError(f"dt={dt} violates CFL: need dt <= {dt_max}")
+        U1, U2 = U1.copy(), U2.copy()
+        for U, Unew, F, s in ((state.U1, U1, F1, s1), (state.U2, U2, F2, s2)):
+            FR, sR, UR = (np.roll(a, -1, axis=0) for a in (F, s, U))  # cell i+1
+            Fh = 0.5 * (F + FR) - 0.5 * np.maximum(s, sR)[..., None] * (UR - U)  # F_{i+1/2}
+            Unew -= dt / state.dx * (Fh - np.roll(Fh, 1, axis=0))
     if particle_flux_div is not None:
-        U1 -= dt * particle_flux_div[0]
-        U2 -= dt * particle_flux_div[1]
+        U1 = U1 - dt * particle_flux_div[0]
+        U2 = U2 - dt * particle_flux_div[1]
     return MacroState(*exchange_map(U1, U2, p, dt), dx=state.dx)

@@ -11,7 +11,10 @@ a per-cell polynomial in h1, evaluated by `projection.eval_projection`.
 The time step keeps each set sorted by cell (`sort_by_cell` after every
 push), so a cell's particles form one contiguous segment: per-cell sums are
 segment reductions (`np.add.reduceat`) and cell fields reach the particles
-through `np.repeat`, each a single streaming pass.  The sort is stable, so the
+through `np.repeat`, each a single streaming pass.  A grouping of one cell
+spreads nothing: it hands out the cell's value, which numpy broadcasts over
+the particles with the same operation per element, and on a one-cell grid
+it computes no cell index either.  The sort is stable, so the
 particle order, and with it the order of every floating-point sum, depends
 only on the seed and the step count: repeated runs with the same seed are
 bit-reproducible.  Functions handed an unsorted set group it the same way
@@ -39,7 +42,8 @@ largest block.  Buffers whose lifetimes do not overlap share storage:
     "h1", "M"    the cell Maxwellian at the particles (source, update, match)
     "source"     the micro source, then the matching correction
     "weights"    the updated weights, until the matching has read them
-    "scratch"    the cross-Maxwellian term, then the products that are summed
+    "scratch"    the cross-Maxwellian term, then the gain times the source,
+                 then the products that are summed
 """
 from __future__ import annotations
 
@@ -88,13 +92,19 @@ class Cells:
     unsigned dtype that fits Nx, which numpy sorts by radix.  `span` is the
     slice of the grid's cells that the grouping covers, all of them or one
     block's (`blocks`); counts and per-cell results run over those cells.
+    On a one-cell grid every particle is in cell 0 whatever its x, so
+    neither x nor idx is read: the key is zero and the set is in order.
     """
 
     def __init__(self, grid: GridSpec, x: np.ndarray, idx: np.ndarray | None = None):
+        self.order = None
+        if grid.Nx == 1:  # every particle is in cell 0, whatever its x
+            n = np.size(x)
+            self._segments(slice(0, 1), np.zeros(n, dtype=np.uint8), np.zeros(1, dtype=np.intp), np.array([n]))
+            return
         if idx is None:
             idx = grid.cell_index(x)
         key = np.asarray(idx).astype(np.min_scalar_type(grid.Nx - 1), copy=False)
-        self.order = None
         if key.size > 1 and not np.all(key[1:] >= key[:-1]):
             self.order = np.argsort(key, kind="stable")
             key = key[self.order]
@@ -140,8 +150,11 @@ class Cells:
         return out
 
     def repeat(self, field) -> np.ndarray:
-        """Per-cell field spread over the particles, in cell order."""
-        return np.repeat(np.broadcast_to(np.asarray(field, dtype=float), self.counts.shape), self.counts)
+        """Per-cell field spread over the particles, in cell order.  On one
+        cell that is the field itself, shape (1,), which numpy broadcasts over
+        the particles with the same operation per element; it is read-only."""
+        field = np.broadcast_to(np.asarray(field, dtype=float), self.counts.shape)
+        return field if self.counts.size == 1 else np.repeat(field, self.counts)
 
     def expand(self, field) -> np.ndarray:
         """Per-cell field spread over the particles, in caller order."""
@@ -293,7 +306,8 @@ def update_weights(
     the source into weight.  The decay and gain factors are formed per cell
     and then spread over the cell's particles.  The new weights are the
     workspace's "weights" buffer (a new array without `work`), which the
-    next update overwrites.
+    next update overwrites; the gain times the source goes into its
+    "scratch" buffer, so the array source_eval returns is left as it was.
     """
     if cells is None:
         cells = Cells(grid, ps.x)
@@ -309,10 +323,9 @@ def update_weights(
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = np.where(lam > 0.0, -np.expm1(-lam * dt) / np.where(lam > 0.0, lam, 1.0), dt)
     gain = gain * volume
-    w = np.multiply(ps.w, cells.expand(decay), out=step_workspace(work).buffer("weights", ps.Np))
-    gain = cells.expand(gain)
-    gain *= s
-    w += gain
+    work = step_workspace(work)
+    w = np.multiply(ps.w, cells.expand(decay), out=work.buffer("weights", ps.Np))
+    w += np.multiply(cells.expand(gain), s, out=work.buffer("scratch", ps.Np))
     return ParticleSet(x=ps.x, v=ps.v, w=w)
 
 

@@ -16,7 +16,7 @@ from kinmix.model import (
     relaxations,
     validate_params,
 )
-from kinmix.particles import ParticleSet, cell_sums, init_particles
+from kinmix.particles import Cells, ParticleSet, cell_sums, init_particles
 from kinmix.grids import GridSpec
 
 from oracles import complement_at, gaussian, project_cross_maxwellian, project_from_moments, projection_at, vgrid
@@ -37,6 +37,55 @@ def equilibrium_state(grid, p):
     from kinmix.driver import SimState
 
     return SimState(macro=macro, ps1=ps1, ps2=ps2)
+
+
+def restore_cell_bookkeeping(mp):
+    """Patch (with the monkeypatch `mp`) the bookkeeping that a grouping of
+    one cell skips back in: every grouping indexes its particles by
+    `GridSpec.cell_index` and spreads its fields by `np.repeat`, the step's
+    weight update multiplies the source into the spread gain, and
+    `driver._reconstruct_f` bins by cell and velocity."""
+    import kinmix.driver as driver
+    from kinmix.model import maxwellian
+    from kinmix.particles import Cells
+
+    def init(self, grid, x, idx=None):
+        key = np.asarray(grid.cell_index(x) if idx is None else idx).astype(np.min_scalar_type(grid.Nx - 1))
+        self.order = None
+        if key.size > 1 and not np.all(key[1:] >= key[:-1]):
+            self.order = np.argsort(key, kind="stable")
+            key = key[self.order]
+        starts = np.searchsorted(key, np.arange(grid.Nx, dtype=key.dtype))
+        self._segments(slice(0, grid.Nx), key, starts, np.diff(starts, append=key.size))
+
+    def repeat(self, field):
+        return np.repeat(np.broadcast_to(np.asarray(field, dtype=float), self.counts.shape), self.counts)
+
+    def update_weights(ps, source_eval, lam, dt, grid, volume, cells, work):
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), cells.counts.shape)
+        s = source_eval(ps.x, ps.v)
+        gain = np.where(lam > 0.0, -np.expm1(-lam * dt) / np.where(lam > 0.0, lam, 1.0), dt) * volume
+        w = ps.w * cells.expand(np.exp(-lam * dt))
+        gain = cells.expand(gain)
+        gain *= s
+        w += gain
+        return ParticleSet(x=ps.x, v=ps.v, w=w)
+
+    def reconstruct_f(sim, moments, p, grid):
+        vb, out = grid.v_bin_centers, []
+        for m, mr, ps in zip(moments, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
+            f = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
+            vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
+            H = np.bincount(grid.cell_index(ps.x) * grid.Nv + vi, weights=ps.w, minlength=grid.Nx * grid.Nv)
+            H /= grid.dx * grid.dv_bin
+            f += H.reshape(grid.Nx, grid.Nv)
+            out.append(f)
+        return out
+
+    mp.setattr(Cells, "__init__", init)
+    mp.setattr(Cells, "repeat", repeat)
+    mp.setattr(driver, "update_weights", update_weights)
+    mp.setattr(driver, "_reconstruct_f", reconstruct_f)
 
 
 def species1_view(mk, n_other, p):
@@ -302,13 +351,11 @@ class TestStep:
         state = sum(a.nbytes for ps in (sim.ps1, sim.ps2) for a in (ps.x, ps.v, ps.w))
         assert (peak - state) / (8 * (cfg.Np1 + cfg.Np2)) <= 7.15
 
-    def test_relaxation_blocks_change_no_bit(self, monkeypatch):
-        # the relaxation runs block by block; every split gives the same
-        # states and diagnostics bit for bit: one block per filled cell
-        # (BLOCK = 1), a split mid-way with one cell above the limit, and
-        # each set as one block.  The sets have empty cells and cells of 1-2
-        # particles, which matching skips, and no particle leaves its cell.
-        import kinmix.particles as particles
+    @staticmethod
+    def block_case():
+        """(grid, params, SimState) on 8 cells with empty cells, cells of 1-2
+        particles, which matching skips, and a cell of 300 particles; no
+        particle leaves its cell in a step."""
         from kinmix.driver import SimState
 
         grid = GridSpec(Nx=8, Nv=32)
@@ -326,15 +373,25 @@ class TestStep:
         m1 = SpeciesMoments(n=1.0 + 0.2 * np.cos(xc / 2), u=0.1 * np.sin(xc / 2), T=1.0 + 0.1 * np.cos(xc / 2))
         m2 = SpeciesMoments(n=1.3 + 0.1 * np.sin(xc / 2), u=-0.2 * np.cos(xc / 2), T=0.8 + 0.1 * np.sin(xc / 2))
         macro = MacroState(U1=conserved_from_moments(m1, 1.0), U2=conserved_from_moments(m2, p.mass_ratio2), dx=grid.dx)
+        return grid, p, SimState(macro=macro, ps1=ps1, ps2=ps2)
 
+    def test_relaxation_blocks_change_no_bit(self, monkeypatch):
+        # the relaxation runs block by block; every split gives the same
+        # states and diagnostics bit for bit: one block per filled cell
+        # (BLOCK = 1), a split mid-way with one cell above the limit, and
+        # each set as one block
+        import kinmix.particles as particles
+        from kinmix.driver import SimState
+
+        grid, p, start = self.block_case()
         monkeypatch.setattr(particles, "BLOCK", 200)
-        split = particles.blocks(*particles.sort_by_cell(ps1, grid))
+        split = particles.blocks(*particles.sort_by_cell(start.ps1, grid))
         assert [b[1].Np for b in split] == [300, 173, 100]
 
         runs = []
-        for limit in (1, 200, ps1.Np):
+        for limit in (1, 200, start.ps1.Np):
             monkeypatch.setattr(particles, "BLOCK", limit)
-            sim, got = SimState(macro=macro, ps1=ps1, ps2=ps2), []
+            sim, got = SimState(macro=start.macro, ps1=start.ps1, ps2=start.ps2), []
             for _ in range(2):
                 sim, diag = step(sim, p, grid, 1e-3)
                 got.append((self.arrays(sim), diag))
@@ -344,6 +401,33 @@ class TestStep:
             for (a, da), (b, db) in zip(runs[0], other):
                 assert da == db
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("limit", [1, 200])
+    def test_one_cell_blocks_match_cell_bookkeeping_bit_for_bit(self, monkeypatch, limit):
+        # blocks of one cell, among them cell 0 with 300 > BLOCK particles,
+        # spread nothing; the states and diagnostics of two steps are those
+        # of the same blocks spreading by np.repeat
+        import kinmix.particles as particles
+        from kinmix.driver import SimState
+
+        grid, p, start = self.block_case()
+        monkeypatch.setattr(particles, "BLOCK", limit)
+        split = particles.blocks(*particles.sort_by_cell(start.ps1, grid))
+        assert split[0][2].counts.size == 1 and split[0][1].Np == 300 > limit
+
+        runs = []
+        for legacy in (False, True):
+            with monkeypatch.context() as mp:
+                if legacy:
+                    restore_cell_bookkeeping(mp)
+                sim, got = SimState(macro=start.macro, ps1=start.ps1, ps2=start.ps2), []
+                for _ in range(2):
+                    sim, diag = step(sim, p, grid, 1e-3)
+                    got.append((self.arrays(sim), diag))
+                runs.append(got)
+        for (a, da), (b, db) in zip(*runs):
+            assert da == db
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_step_buffers_are_sized_by_the_block(self):
         # at Np >> BLOCK every workspace buffer holds at most one block:
@@ -458,6 +542,47 @@ class TestHomogeneousMode:
         assert np.array_equal(a.ps1.x, sim.ps1.x) and np.array_equal(a.ps2.x, sim.ps2.x)
         stepped, _ = step(sim, p, grid, base["dt"])
         assert stepped.ps1.x is sim.ps1.x and stepped.ps2.x is sim.ps2.x
+
+    def test_one_cell_path_matches_cell_bookkeeping_bit_for_bit(self, monkeypatch):
+        # one cell: no cell index, no particle-length spread, no flux.  A
+        # run (series, snapshots, final state) and a step give the same bits
+        # as with every grouping indexed and spread as on many cells, and
+        # the macro step taken as the Rusanov step written out
+        import kinmix.driver as driver
+        from oracles import rusanov_fv_step
+
+        def fv_step(state, flux_div, p, dt):
+            assert flux_div is None
+            return MacroState(*rusanov_fv_step(state.U1, state.U2, state.dx, p, dt), dx=state.dx)
+
+        cfg = RunConfig(mode="homogeneous", Nx=1, Nv=64, Np1=3000, Np2=2000, seed=5, dt=1e-3, t_end=5e-3,
+                        output_every=1, eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05, preset="v4-maxwellian")
+        results = []
+        for legacy in (False, True):
+            with monkeypatch.context() as mp:
+                if legacy:
+                    restore_cell_bookkeeping(mp)
+                    mp.setattr(driver, "fv_step", fv_step)
+                    assert Cells(GridSpec(Nx=1), np.zeros(3)).repeat(1.0).shape == (3,)
+                else:
+                    def refuse(self, x):
+                        raise AssertionError("cell_index called on one cell")
+
+                    mp.setattr(GridSpec, "cell_index", refuse)
+                res = run(cfg)
+                grid, p, sim = setup_simulation(cfg)
+                results.append((res, step(sim, p, grid, cfg.dt)))
+        (new, (s_new, d_new)), (old, (s_old, d_old)) = results
+        assert np.array_equal(new.times, old.times) and list(new.series) == list(old.series)
+        for key in new.series:
+            assert np.array_equal(new.series[key], old.series[key]), key
+        assert len(new.snapshots) == len(old.snapshots) == 6
+        for a, b in zip(new.snapshots, old.snapshots):
+            assert a.t == b.t and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("x", "v", "f1", "f2"))
+        assert np.abs(new.final_state.ps1.w).max() > 0.0
+        for a, b in ((new.final_state, old.final_state), (s_new, s_old)):
+            assert all(np.array_equal(x, y) for x, y in zip(TestStep.arrays(a), TestStep.arrays(b)))
+        assert d_new == d_old
 
     def test_momentum_energy_drift_tiny(self):
         # the exchange map keeps the conserved combinations to round-off

@@ -162,7 +162,8 @@ class TestFvStep:
 
     @pytest.mark.parametrize("Nx", [16, 1])
     def test_inverts_each_species_twice(self, monkeypatch, Nx):
-        # once for its flux and wave speed, once in the exchange map
+        # once for its flux and wave speed, once in the exchange map; one
+        # periodic cell forms no flux, so only the exchange map inverts
         calls = []
         real = macrofv.moments_from_conserved
 
@@ -172,7 +173,7 @@ class TestFvStep:
 
         monkeypatch.setattr(macrofv, "moments_from_conserved", counting)
         fv_step(baseline_state(Nx=Nx), None, P_005, dt=1e-3)
-        assert len(calls) == 4
+        assert len(calls) == (4 if Nx > 1 else 2)
 
     def test_uniform_equal_state_preserved(self):
         Nx = 8

@@ -5,6 +5,7 @@ from kinmix.grids import GridSpec
 from kinmix.model import SpeciesMoments
 from kinmix.particles import (
     MATCH_RTOL,
+    Cells,
     ParticleSet,
     StepWorkspace,
     cell_sums,
@@ -190,6 +191,21 @@ class TestUpdateWeights:
         ps = init_particles(lambda x, v: np.zeros_like(x), grid, 500, seed=6)
         out = update_weights(ps, lambda x, v: np.zeros_like(x), 3.0, 0.1, grid, volume(grid, ps))
         assert np.all(out.w == 0.0)
+
+    @pytest.mark.parametrize("Nx", [4, 1])
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_source_left_unchanged(self, Nx, with_work):
+        # the gain times the source goes into a buffer of its own, also when
+        # the source is the workspace's "source" buffer, as in the time step
+        grid = GridSpec(Nx=Nx)
+        ps = init_particles(v4_remainder, grid, 500, seed=7)
+        work = StepWorkspace() if with_work else None
+        s = work.buffer("source", ps.Np) if with_work else np.empty(ps.Np)
+        s[:] = np.cos(ps.v)
+        kept = s.copy()
+        out = update_weights(ps, lambda x, v: s, np.linspace(0.5, 2.0, Nx), 0.1, grid, volume(grid, ps), work=work)
+        assert np.array_equal(s, kept)
+        assert not np.shares_memory(out.w, s)
 
 
 class TestMatch:
@@ -394,6 +410,46 @@ class TestSortedLayout:
             sim, _ = step(sim, p, grid, cfg.dt)
             for ps in (sim.ps1, sim.ps2):
                 assert np.all(np.diff(grid.cell_index(ps.x)) >= 0)
+
+
+class TestOneCellGrouping:
+    """A grouping of one cell spreads nothing and, on a one-cell grid,
+    indexes nothing: every particle is in cell 0."""
+
+    def test_one_cell_grid_computes_no_cell_index(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("cell_index called on a one-cell grid")
+
+        monkeypatch.setattr(GridSpec, "cell_index", refuse)
+        grid = GridSpec(Lx=2.0, Nx=1, Nv=16)
+        # in range, -0.0, at Lx, negative, several periods out and NaN
+        x = np.array([0.5, -0.0, 0.0, 2.0, -0.25, 7.5, -40.0, np.nextafter(2.0, 0.0), np.nan])
+        cells = Cells(grid, x)
+        assert cells.order is None and cells.span == slice(0, 1)
+        assert np.array_equal(cells.counts, [x.size])
+        assert cells.key.dtype == np.uint8 and cells.key.shape == x.shape and not cells.key.any()
+        # a passed index is not needed either
+        assert np.array_equal(Cells(grid, x, idx=np.zeros(x.size, int)).counts, [x.size])
+        ps = ParticleSet(x=x, v=np.linspace(-1.0, 1.0, x.size), w=np.arange(x.size, dtype=float))
+        again, grouped = sort_by_cell(ps, grid)
+        assert again is ps and grouped.order is None
+        assert cells.sum(ps.w)[0] == np.add.reduceat(ps.w, [0])[0]
+        assert np.array_equal(Cells(grid, np.empty(0)).counts, [0])
+
+    @pytest.mark.parametrize("Nx", [1, 8])
+    def test_one_cell_spreads_the_field_itself(self, Nx):
+        # a one-cell grid, and a one-cell block of a multi-cell grid
+        grid = GridSpec(Lx=float(Nx), Nx=Nx, Nv=16)
+        x = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 50))  # all in cell 0
+        cells = Cells(grid, x)
+        if Nx > 1:
+            cells = cells._block(0, 1, 0, x.size)
+        for spread in (cells.repeat, cells.expand):
+            f = spread(np.array([2.5]))
+            assert f.shape == (1,) and f[0] == 2.5
+            assert spread(1.5).shape == (1,)
+        v = np.linspace(-1.0, 1.0, x.size)
+        assert np.array_equal(v * cells.repeat([0.3]), v * np.repeat(0.3, x.size))
 
 
 class TestAdaptiveMatch:
