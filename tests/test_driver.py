@@ -47,7 +47,6 @@ def restore_cell_bookkeeping(mp):
     `driver._reconstruct_f` bins by cell and velocity."""
     import kinmix.driver as driver
     from kinmix.model import maxwellian
-    from kinmix.particles import Cells
 
     def init(self, grid, x, idx=None):
         key = np.asarray(grid.cell_index(x) if idx is None else idx).astype(np.min_scalar_type(grid.Nx - 1))
@@ -353,11 +352,9 @@ class TestStep:
 
     @staticmethod
     def block_case():
-        """(grid, params, SimState) on 8 cells with empty cells, cells of 1-2
-        particles, which matching skips, and a cell of 300 particles; no
-        particle leaves its cell in a step."""
-        from kinmix.driver import SimState
-
+        """(grid, params, macro state, ps1, ps2) on 8 cells with empty cells,
+        cells of 1-2 particles, which matching skips, and a cell of 300
+        particles; no particle leaves its cell in a step."""
         grid = GridSpec(Nx=8, Nv=32)
         p = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
         xc = grid.x_centers
@@ -373,7 +370,7 @@ class TestStep:
         m1 = SpeciesMoments(n=1.0 + 0.2 * np.cos(xc / 2), u=0.1 * np.sin(xc / 2), T=1.0 + 0.1 * np.cos(xc / 2))
         m2 = SpeciesMoments(n=1.3 + 0.1 * np.sin(xc / 2), u=-0.2 * np.cos(xc / 2), T=0.8 + 0.1 * np.sin(xc / 2))
         macro = MacroState(U1=conserved_from_moments(m1, 1.0), U2=conserved_from_moments(m2, p.mass_ratio2), dx=grid.dx)
-        return grid, p, SimState(macro=macro, ps1=ps1, ps2=ps2)
+        return grid, p, macro, ps1, ps2
 
     def test_relaxation_blocks_change_no_bit(self, monkeypatch):
         # the relaxation runs block by block; every split gives the same
@@ -383,15 +380,15 @@ class TestStep:
         import kinmix.particles as particles
         from kinmix.driver import SimState
 
-        grid, p, start = self.block_case()
+        grid, p, macro, ps1, ps2 = self.block_case()
         monkeypatch.setattr(particles, "BLOCK", 200)
-        split = particles.blocks(*particles.sort_by_cell(start.ps1, grid))
+        split = particles.blocks(*particles.sort_by_cell(ps1, grid))
         assert [b[1].Np for b in split] == [300, 173, 100]
 
         runs = []
-        for limit in (1, 200, start.ps1.Np):
+        for limit in (1, 200, ps1.Np):
             monkeypatch.setattr(particles, "BLOCK", limit)
-            sim, got = SimState(macro=start.macro, ps1=start.ps1, ps2=start.ps2), []
+            sim, got = SimState(macro=macro, ps1=ps1, ps2=ps2), []
             for _ in range(2):
                 sim, diag = step(sim, p, grid, 1e-3)
                 got.append((self.arrays(sim), diag))
@@ -410,9 +407,9 @@ class TestStep:
         import kinmix.particles as particles
         from kinmix.driver import SimState
 
-        grid, p, start = self.block_case()
+        grid, p, macro, ps1, ps2 = self.block_case()
         monkeypatch.setattr(particles, "BLOCK", limit)
-        split = particles.blocks(*particles.sort_by_cell(start.ps1, grid))
+        split = particles.blocks(*particles.sort_by_cell(ps1, grid))
         assert split[0][2].counts.size == 1 and split[0][1].Np == 300 > limit
 
         runs = []
@@ -420,7 +417,7 @@ class TestStep:
             with monkeypatch.context() as mp:
                 if legacy:
                     restore_cell_bookkeeping(mp)
-                sim, got = SimState(macro=start.macro, ps1=start.ps1, ps2=start.ps2), []
+                sim, got = SimState(macro=macro, ps1=ps1, ps2=ps2), []
                 for _ in range(2):
                     sim, diag = step(sim, p, grid, 1e-3)
                     got.append((self.arrays(sim), diag))
