@@ -28,7 +28,6 @@ summed moment triple per cell:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .homogeneous import analytic_temperature_gap, analytic_velocity_gap
 from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
 from .model import MixtureParams, Relaxation, SpeciesMoments, exchange_quantities, maxwellian, relaxations
 from .particles import (
-    Cells,
     ParticleSet,
     blocks,
     cell_fields,
@@ -99,19 +97,18 @@ def _transport(ps: ParticleSet, grid: GridSpec, dt: float):
 
 
 def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, work: StepWorkspace | None = None):
-    """Vectorized micro source S(x, v) for one species plus its per-cell
+    """Micro source S(x, v) for one species, per block, plus its per-cell
     damping rate intra + inter.
 
     sp is the species' relaxation view (`model.relaxations`), flux_div the
     species' `_flux_divergence`, or None on one cell, where the source keeps
     only its interspecies term because every x-derivative is exactly zero.
-    The per-cell coefficients are built once, on the whole grid.  The source
-    takes an optional third argument, shared: a (positions, velocities,
-    Cells, LocalMaxwellian) tuple reused when the source is evaluated at
-    exactly those two arrays, whose grouping may be one block's
-    (`particles.blocks`).  The source is written into the workspace's
-    "source" buffer (a new array without `work`), which the next evaluation
-    overwrites.
+    The per-cell coefficients are built once, on the whole grid, and
+    source_for(cb, loc) gives the vectorized source of a set in cell order
+    grouped by `cb`, the grid's or one block's (`particles.blocks`), at the
+    velocities whose cell Maxwellian `loc` holds (`particles.local_maxwellian`).
+    The source is written into the workspace's "source" buffer (a new array
+    without `work`), which the next evaluation overwrites.
 
     In the scaled Hermite basis h1 = (v-u)/sigma, h2 = h1^2 - 1 of the cell
     Maxwellian the source is M_k(v) [P(h) - v Q(h)] + rate M_kj(v), where P
@@ -154,21 +151,18 @@ def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, w
     # M_kj's velocity, variance and amplitude
     cross = (sp.u_cross, theta_cross, rate * n)
 
-    def source_eval(x, v, shared=None):
-        if shared is not None and x is shared[0] and v is shared[1]:
-            cells, loc = shared[2], shared[3]
-        else:
-            cells = Cells(grid, x)
-            loc = local_maxwellian(v, cells, sp.moments, sp.mr)
-        span = cells.span
-        ws = step_workspace(work)
-        out = eval_projection([c[span] for c in poly], loc.h1, loc.M, cells.expand, ws.buffer("source", v.size))
-        # rate M_kj(v), into one buffer
-        z = ws.buffer("scratch", v.size)
-        out += maxwellian_samples(v, *(c[span] for c in cross), cells.expand, z, z)
-        return out
+    def source_for(cb, loc):
+        def source_eval(x, v):
+            ws = step_workspace(work)
+            out = eval_projection([c[cb.span] for c in poly], loc.h1, loc.M, cb.repeat, ws.buffer("source", v.size))
+            # rate M_kj(v), into one buffer
+            z = ws.buffer("scratch", v.size)
+            out += maxwellian_samples(v, *(c[cb.span] for c in cross), cb.repeat, z, z)
+            return out
 
-    return source_eval, sp.intra + sp.inter
+        return source_eval
+
+    return source_for, sp.intra + sp.inter
 
 
 def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
@@ -180,7 +174,7 @@ def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
     matched weights go into one new array for the whole set.  Returns
     (matched set, skipped cells, largest post-match residual, re-solved
     cells)."""
-    source_eval, lam = _micro_source(sp, grid, flux_div, work)
+    source_for, lam = _micro_source(sp, grid, flux_div, work)
     volume = grid.Lx * grid.Lv / ps.Np
     parts = blocks(ps, cells)
     w = np.empty(ps.Np) if len(parts) > 1 else None
@@ -189,9 +183,8 @@ def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
         span = cb.span
         mk = SpeciesMoments(n=sp.moments.n[span], u=sp.moments.u[span], T=sp.moments.T[span])
         loc = local_maxwellian(psb.v, cb, mk, sp.mr, work)
-        se = partial(source_eval, shared=(psb.x, psb.v, cb, loc))
-        psb = update_weights(psb, se, lam[span], dt, grid, volume, cells=cb, work=work)
-        matched, *diag = match(psb, grid, mk, sp.mr, idx=cb.key, local=loc, cells=cb, work=work)
+        psb = update_weights(psb, source_for(cb, loc), lam[span], dt, volume, cells=cb, work=work)
+        matched, *diag = match(psb, grid, mk, sp.mr, cells=cb, idx=cb.key, local=loc, work=work)
         if w is not None:
             w[sl] = matched.w
         diags.append(diag)

@@ -14,13 +14,13 @@ segment reductions (`np.add.reduceat`) and cell fields reach the particles
 through `np.repeat`, each a single streaming pass.  A grouping of one cell
 spreads nothing: it hands out the cell's value, which numpy broadcasts over
 the particles with the same operation per element, and on a one-cell grid
-it computes no cell index either.  The sort is stable, so the
-particle order, and with it the order of every floating-point sum, depends
-only on the seed and the step count: repeated runs with the same seed are
-bit-reproducible.  Functions handed an unsorted set group it the same way
-internally (`Cells`) and answer in the caller's order.  The time step builds
-the grouping once per species (`sort_by_cell`) and hands it to every call
-that needs it (`cells=`).
+it computes no cell index either.  The sort is stable, so the particle
+order, and with it the order of every floating-point sum, depends only on
+the seed and the step count: repeated runs with the same seed are
+bit-reproducible.  Only `sort_by_cell` orders a set: every function that
+reads per-cell particle data takes a set in cell order with its grouping
+(`Cells`), which the time step builds once per species and step.  Handed no
+grouping, `deposit` and `cell_sums` sort the set first.
 
 The time step relaxes a species block by block (`blocks`): a block is a run
 of whole consecutive cells that together hold at most `BLOCK` particles, or a
@@ -84,30 +84,24 @@ class ParticleSet:
 
 
 class Cells:
-    """One particle set grouped by cell.
+    """The grouping of a particle set in cell order (`sort_by_cell`).
 
-    `order` permutes the caller's particles into cell order (stable; None
-    when they already are in it).  In cell order, cell c holds counts[c]
-    consecutive particles, and `key` holds their cell indices in the smallest
-    unsigned dtype that fits Nx, which numpy sorts by radix.  `span` is the
-    slice of the grid's cells that the grouping covers, all of them or one
-    block's (`blocks`); counts and per-cell results run over those cells.
-    On a one-cell grid every particle is in cell 0 whatever its x, so
-    neither x nor idx is read: the key is zero and the set is in order.
+    Cell c holds counts[c] consecutive particles, and `key` holds their cell
+    indices in the smallest unsigned dtype that fits Nx, which numpy sorts by
+    radix; a key out of cell order raises ValueError.  `span` is the slice of
+    the grid's cells that the grouping covers, all of them or one block's
+    (`blocks`); counts and per-cell results run over those cells.  On a
+    one-cell grid every particle is in cell 0 whatever its x, so neither x
+    nor key is read: the key is zero and the set is in order.
     """
 
-    def __init__(self, grid: GridSpec, x: np.ndarray, idx: np.ndarray | None = None):
-        self.order = None
+    def __init__(self, grid: GridSpec, x: np.ndarray, key: np.ndarray | None = None):
         if grid.Nx == 1:  # every particle is in cell 0, whatever its x
-            n = np.size(x)
-            self._segments(slice(0, 1), np.zeros(n, dtype=np.uint8), np.zeros(1, dtype=np.intp), np.array([n]))
-            return
-        if idx is None:
-            idx = grid.cell_index(x)
-        key = np.asarray(idx).astype(np.min_scalar_type(grid.Nx - 1), copy=False)
-        if key.size > 1 and not np.all(key[1:] >= key[:-1]):
-            self.order = np.argsort(key, kind="stable")
-            key = key[self.order]
+            key = np.zeros(np.size(x), dtype=np.uint8)
+        elif key is None:
+            key = grid.cell_index(x).astype(np.min_scalar_type(grid.Nx - 1), copy=False)
+        if grid.Nx > 1 and key.size > 1 and not np.all(key[1:] >= key[:-1]):
+            raise ValueError("Cells needs a set in cell order; sort it with sort_by_cell")
         starts = np.searchsorted(key, np.arange(grid.Nx, dtype=key.dtype))
         self._segments(slice(0, grid.Nx), key, starts, np.diff(starts, append=key.size))
 
@@ -123,22 +117,15 @@ class Cells:
         """The grouping of cells c0..c1-1 of a whole-grid grouping in cell
         order, whose particles are p0..p1-1."""
         b = Cells.__new__(Cells)
-        b.order = None
         counts = self.counts[c0:c1]
         b._segments(slice(c0, c1), self.key[p0:p1], np.cumsum(counts) - counts, counts)
         return b
 
-    def sorted(self, a: np.ndarray) -> np.ndarray:
-        """Per-particle array in caller order -> cell order (no copy if sorted)."""
-        return a if self.order is None else a[self.order]
-
-    def unsorted(self, a: np.ndarray) -> np.ndarray:
-        """Per-particle array in cell order -> caller order."""
-        if self.order is None:
-            return a
-        out = np.empty_like(a)
-        out[self.order] = a
-        return out
+    def check(self, ps: "ParticleSet"):
+        """Raise ValueError unless this grouping holds as many particles as ps."""
+        if self.counts.sum() != ps.Np:
+            fit = f"a grouping of {self.counts.sum()} particles does not fit a set of {ps.Np}"
+            raise ValueError(fit + ": pass a set in cell order with its own Cells (sort_by_cell)")
 
     def sum(self, a: np.ndarray) -> np.ndarray:
         """Per-cell sums of a per-particle array given in cell order."""
@@ -150,15 +137,13 @@ class Cells:
         return out
 
     def repeat(self, field) -> np.ndarray:
-        """Per-cell field spread over the particles, in cell order.  On one
-        cell that is the field itself, shape (1,), which numpy broadcasts over
-        the particles with the same operation per element; it is read-only."""
-        field = np.broadcast_to(np.asarray(field, dtype=float), self.counts.shape)
+        """Per-cell field spread over the particles (np.repeat).  On one cell
+        that is the field itself, shape (1,), which numpy broadcasts over the
+        particles with the same operation per element; it is read-only."""
+        field = np.asarray(field, dtype=float)
+        if self.counts.size == 1 or field.shape != self.counts.shape:
+            field = np.broadcast_to(field, self.counts.shape)
         return field if self.counts.size == 1 else np.repeat(field, self.counts)
-
-    def expand(self, field) -> np.ndarray:
-        """Per-cell field spread over the particles, in caller order."""
-        return self.unsorted(self.repeat(field))
 
 
 @dataclass
@@ -173,24 +158,22 @@ class LocalMaxwellian:
 
 
 def cell_fields(Mk: SpeciesMoments, mass_ratio: float, Nx: int):
-    """(n, u, theta = T/m) of a species as float arrays of shape (Nx,)."""
-    n = np.broadcast_to(np.asarray(Mk.n, dtype=float), (Nx,))
-    u = np.broadcast_to(np.asarray(Mk.u, dtype=float), (Nx,))
-    th = np.broadcast_to(np.asarray(Mk.T, dtype=float) / mass_ratio, (Nx,))
-    return n, u, th
+    """(n, u, theta = T/m) of a species as float arrays of shape (Nx,), broadcast where needed."""
+    fields = (np.asarray(Mk.n, dtype=float), np.asarray(Mk.u, dtype=float), np.asarray(Mk.T, dtype=float) / mass_ratio)
+    return tuple(f if f.shape == (Nx,) else np.broadcast_to(f, (Nx,)) for f in fields)
 
 
 def local_maxwellian(
     v: np.ndarray, cells: Cells, Mk: SpeciesMoments, mass_ratio: float, work: StepWorkspace | None = None
 ) -> LocalMaxwellian:
-    """Evaluate the cell Maxwellian of Mk at velocities v (caller order),
-    into the workspace's "h1" and "M" buffers."""
+    """Evaluate the cell Maxwellian of Mk at the velocities v of a set in
+    cell order grouped by `cells`, into the workspace's "h1" and "M" buffers."""
     n, u, th = cell_fields(Mk, mass_ratio, cells.counts.size)
     if not np.all(th > 0):
         raise ValueError("the cell Maxwellian requires T > 0 in every cell")
     work = step_workspace(work)
     h1 = work.buffer("h1", v.size)
-    return LocalMaxwellian(h1=h1, M=maxwellian_samples(v, u, th, n, cells.expand, h1, work.buffer("M", v.size)))
+    return LocalMaxwellian(h1=h1, M=maxwellian_samples(v, u, th, n, cells.repeat, h1, work.buffer("M", v.size)))
 
 
 def init_particles(g0, grid: GridSpec, Np: int, seed) -> ParticleSet:
@@ -220,17 +203,19 @@ def push(ps: ParticleSet, dt: float, grid: GridSpec) -> ParticleSet:
 
 
 def sort_by_cell(ps: ParticleSet, grid: GridSpec):
-    """Stable sort of a set into cell order.
+    """Stable sort of a set into cell order, the only code that orders a set.
 
     Returns (sorted set, its `Cells`); the set comes back unchanged, not
     copied, when it already is in cell order.
     """
-    cells = Cells(grid, ps.x)
-    if cells.order is not None:
-        o = cells.order
+    if grid.Nx == 1:
+        return ps, Cells(grid, ps.x)
+    key = grid.cell_index(ps.x).astype(np.min_scalar_type(grid.Nx - 1), copy=False)
+    if key.size > 1 and not np.all(key[1:] >= key[:-1]):
+        o = np.argsort(key, kind="stable")
+        key = key[o]
         ps = ParticleSet(x=np.take(ps.x, o), v=np.take(ps.v, o), w=np.take(ps.w, o))
-        cells.order = None
-    return ps, cells
+    return ps, Cells(grid, ps.x, key)
 
 
 def blocks(ps: ParticleSet, cells: Cells) -> list:
@@ -260,10 +245,11 @@ def blocks(ps: ParticleSet, cells: Cells) -> list:
 
 
 def _weighted_sums(ps: ParticleSet, grid: GridSpec, rows: int, cells: Cells | None) -> np.ndarray:
-    """Per-cell sums of w v^j for j < rows, shape (rows, Nx)."""
+    """Per-cell sums of w v^j for j < rows, shape (rows, Nx), as `deposit`."""
     if cells is None:
-        cells = Cells(grid, ps.x)
-    v, wk = cells.sorted(ps.v), cells.sorted(ps.w)
+        ps, cells = sort_by_cell(ps, grid)
+    cells.check(ps)
+    v, wk = ps.v, ps.w
     out = np.empty((rows, grid.Nx))
     for j in range(rows):
         out[j] = cells.sum(wk)
@@ -273,15 +259,15 @@ def _weighted_sums(ps: ParticleSet, grid: GridSpec, rows: int, cells: Cells | No
 
 
 def deposit(ps: ParticleSet, grid: GridSpec, cells: Cells | None = None) -> np.ndarray:
-    """Per-cell NGP moments, shape (4, Nx): (<g>, <vg>, <v^2 g>, <v^3 g>)/dx;
-    cells (the particles' grouping) spares regrouping when the caller has it."""
+    """Per-cell NGP moments, shape (4, Nx): (<g>, <vg>, <v^2 g>, <v^3 g>)/dx,
+    of a set in cell order grouped by `cells`, or of any set, sorted first."""
     out = _weighted_sums(ps, grid, 4, cells)
     out /= grid.dx
     return out
 
 
 def cell_sums(ps: ParticleSet, grid: GridSpec) -> np.ndarray:
-    """Raw per-cell sums (sum w, sum w v, sum w v^2), shape (3, Nx)."""
+    """Raw per-cell sums (sum w, sum w v, sum w v^2), shape (3, Nx), of any set, sorted first."""
     return _weighted_sums(ps, grid, 3, None)
 
 
@@ -290,27 +276,25 @@ def update_weights(
     source_eval,
     lam,
     dt: float,
-    grid: GridSpec,
     volume: float,
-    cells: Cells | None = None,
+    cells: Cells,
     work: StepWorkspace | None = None,
 ) -> ParticleSet:
-    """Exact exponential (Duhamel) weight update.
+    """Exact exponential (Duhamel) weight update of a set in cell order.
 
     dw/dt = -lam w + s with s frozen over the step gives
     w <- w e^{-lam dt} + (1 - e^{-lam dt})/lam * s; lam -> 0 degrades to
     forward Euler.  source_eval(x, v) is the non-stiff micro source,
-    vectorized; lam is one damping rate per cell of `cells` (their grouping,
-    built when omitted), or a scalar.  volume is the phase-space volume a
-    particle of the species' whole set stands for, Lx Lv / Np, which turns
-    the source into weight.  The decay and gain factors are formed per cell
-    and then spread over the cell's particles.  The new weights are the
-    workspace's "weights" buffer (a new array without `work`), which the
-    next update overwrites; the gain times the source goes into its
-    "scratch" buffer, so the array source_eval returns is left as it was.
+    vectorized; lam is one damping rate per cell of `cells` (the set's
+    grouping), or a scalar.  volume is the phase-space volume a particle of
+    the species' whole set stands for, Lx Lv / Np, which turns the source
+    into weight.  The decay and gain factors are formed per cell and then
+    spread over the cell's particles.  The new weights are the workspace's
+    "weights" buffer (a new array without `work`), which the next update
+    overwrites; the gain times the source goes into its "scratch" buffer, so
+    the array source_eval returns is left as it was.
     """
-    if cells is None:
-        cells = Cells(grid, ps.x)
+    cells.check(ps)
     nc = cells.counts.size
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0):
@@ -324,8 +308,8 @@ def update_weights(
         gain = np.where(lam > 0.0, -np.expm1(-lam * dt) / np.where(lam > 0.0, lam, 1.0), dt)
     gain = gain * volume
     work = step_workspace(work)
-    w = np.multiply(ps.w, cells.expand(decay), out=work.buffer("weights", ps.Np))
-    w += np.multiply(cells.expand(gain), s, out=work.buffer("scratch", ps.Np))
+    w = np.multiply(ps.w, cells.repeat(decay), out=work.buffer("weights", ps.Np))
+    w += np.multiply(cells.repeat(gain), s, out=work.buffer("scratch", ps.Np))
     return ParticleSet(x=ps.x, v=ps.v, w=w)
 
 
@@ -354,12 +338,13 @@ def match(
     grid: GridSpec,
     Mk: SpeciesMoments,
     mass_ratio: float,
+    cells: Cells,
     idx: np.ndarray | None = None,
     local: LocalMaxwellian | None = None,
-    cells: Cells | None = None,
     work: StepWorkspace | None = None,
 ):
-    """Per-cell weight correction zeroing the discrete sums of m(v).
+    """Per-cell weight correction zeroing the discrete sums of m(v) of a set
+    in cell order grouped by `cells`; Mk holds the moments of its cells.
 
     Subtracts c(v) = [a0 + a1 v + a2 v^2] M_k(v) * Lx Lv / Np sampled at the
     cell's particles, with (a0, a1, a2) from an exact 3x3 solve, so that
@@ -368,20 +353,16 @@ def match(
     well-conditioned.  Each cell is solved once; the post-match sums are
     then measured, and only a cell whose residual exceeds MATCH_RTOL times
     the round-off scale of its sums is re-solved against that residual.
-    `local` is that basis at the particles (caller order)
-    when the caller already has it, from `local_maxwellian` with the same
-    Mk; `cells` is the particles' grouping, built from idx (or x) when
-    omitted, and Mk holds the moments of its cells.  idx stays although
-    `cells` carries the same indices: the benchmark's traced runs count the
-    populated cells from it.
+    `local` is that basis at the particles when the caller already has it,
+    from `local_maxwellian` with the same Mk.  Neither grid nor idx is read:
+    the benchmark's traced runs take the grid's size from the one and count
+    the populated cells from the other, which the caller sets to `cells.key`.
 
     Returns (matched ParticleSet, number of cells skipped as unsolvable,
     largest post-match per-cell residual of a solved cell, number of
-    re-solved cells); the weights come back newly allocated, in the caller's
-    particle order.
+    re-solved cells); the weights come back newly allocated.
     """
-    if cells is None:
-        cells = Cells(grid, ps.x, idx)
+    cells.check(ps)
     counts = cells.counts
     _, _, th = cell_fields(Mk, mass_ratio, counts.size)
     if not np.all(th > 0):
@@ -390,7 +371,7 @@ def match(
     work = step_workspace(work)
     if local is None:
         local = local_maxwellian(ps.v, cells, Mk, mass_ratio, work)
-    h1, M, w = (cells.sorted(a) for a in (local.h1, local.M, ps.w))
+    h1, M, w = local.h1, local.M, ps.w
     tmp = work.buffer("scratch", w.size)
 
     # gram matrix of the basis (1, h1, h2) under the empirical Maxwellian
@@ -419,5 +400,5 @@ def match(
         out -= eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, corr)
         r = _hermite_sums(out, h1, cells.sum, tmp)
 
-    matched = ParticleSet(x=ps.x, v=ps.v, w=cells.unsorted(out))
+    matched = ParticleSet(x=ps.x, v=ps.v, w=out)
     return matched, skipped, float(np.abs(r[good]).max(initial=0.0)), int(refine.size)

@@ -46,8 +46,7 @@ def eval_projection(coeffs, h1: np.ndarray, M: np.ndarray, spread, out: np.ndarr
 
     coeffs are the polynomial's coefficients c_j, lowest degree first (at
     least two), as per-cell fields that `spread` maps onto the samples h1 and
-    M (`Cells.repeat` or `Cells.expand` for particles, a column for grid
-    rows)."""
+    M (`Cells.repeat` for particles in cell order, a column for grid rows)."""
     np.multiply(spread(coeffs[-1]), h1, out=out)
     for c in coeffs[-2:0:-1]:
         out += spread(c)

@@ -16,7 +16,7 @@ from kinmix.model import (
     relaxations,
     validate_params,
 )
-from kinmix.particles import Cells, ParticleSet, cell_sums, init_particles
+from kinmix.particles import Cells, ParticleSet, cell_sums, init_particles, local_maxwellian, sort_by_cell
 from kinmix.grids import GridSpec
 
 from oracles import complement_at, gaussian, project_cross_maxwellian, project_from_moments, projection_at, vgrid
@@ -48,24 +48,20 @@ def restore_cell_bookkeeping(mp):
     import kinmix.driver as driver
     from kinmix.model import maxwellian
 
-    def init(self, grid, x, idx=None):
-        key = np.asarray(grid.cell_index(x) if idx is None else idx).astype(np.min_scalar_type(grid.Nx - 1))
-        self.order = None
-        if key.size > 1 and not np.all(key[1:] >= key[:-1]):
-            self.order = np.argsort(key, kind="stable")
-            key = key[self.order]
+    def init(self, grid, x, key=None):
+        key = grid.cell_index(x).astype(np.min_scalar_type(grid.Nx - 1))
         starts = np.searchsorted(key, np.arange(grid.Nx, dtype=key.dtype))
         self._segments(slice(0, grid.Nx), key, starts, np.diff(starts, append=key.size))
 
     def repeat(self, field):
         return np.repeat(np.broadcast_to(np.asarray(field, dtype=float), self.counts.shape), self.counts)
 
-    def update_weights(ps, source_eval, lam, dt, grid, volume, cells, work):
+    def update_weights(ps, source_eval, lam, dt, volume, cells, work):
         lam = np.broadcast_to(np.asarray(lam, dtype=float), cells.counts.shape)
         s = source_eval(ps.x, ps.v)
         gain = np.where(lam > 0.0, -np.expm1(-lam * dt) / np.where(lam > 0.0, lam, 1.0), dt) * volume
-        w = ps.w * cells.expand(np.exp(-lam * dt))
-        gain = cells.expand(gain)
+        w = ps.w * cells.repeat(np.exp(-lam * dt))
+        gain = cells.repeat(gain)
         gain *= s
         w += gain
         return ParticleSet(x=ps.x, v=ps.v, w=w)
@@ -85,6 +81,16 @@ def restore_cell_bookkeeping(mp):
     mp.setattr(Cells, "repeat", repeat)
     mp.setattr(driver, "update_weights", update_weights)
     mp.setattr(driver, "_reconstruct_f", reconstruct_f)
+
+
+def source_at(source_for, sp, grid, x, v):
+    """The source that `_micro_source` makes, at the points (x, v): evaluated
+    on the points in cell order (`sort_by_cell`), returned in their order."""
+    # w carries each point's place in the input through the sort
+    pts, cells = sort_by_cell(ParticleSet(x=x, v=v, w=np.arange(x.size, dtype=float)), grid)
+    out = np.empty(x.size)
+    out[pts.w.astype(int)] = source_for(cells, local_maxwellian(pts.v, cells, sp.moments, sp.mr))(pts.x, pts.v)
+    return out
 
 
 def species1_view(mk, n_other, p):
@@ -136,15 +142,14 @@ class TestMicroSource:
         phi1_s = sample * Mv_s * (A[c] + B[c] * ws + Cc[c] * (ws * ws - th[c]))
         expected = -complement_at(phi1_s, coeffs, sample)
         xs = np.full(sample.size, x[c])
-        got = src(xs, sample)
+        got = source_at(src, sp, grid, xs, sample)
         assert np.allclose(got, expected, atol=1e-10)
 
     @pytest.mark.parametrize("species", [1, 2])
     def test_full_source_matches_closed_form_projection_at_any_point(self, species):
         # S = -(1 - Pi)(v dx M_k) + Pi(v dx g) + rate (M_kj - Pi M_kj) at
         # scattered (x, v), with a nonzero remainder and cross rate and
-        # m2/m1 = 1.5, against the closed-form projection; no shared
-        # Maxwellian, so the source groups the points and evaluates M_k itself
+        # m2/m1 = 1.5, against the closed-form projection
         from kinmix.driver import _flux_divergence, _micro_source
 
         grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
@@ -160,7 +165,8 @@ class TestMicroSource:
             mr, mk, n_other, epst = p.mass_ratio2, m2, m1.n, p.epst2
             u_cross, theta_cross = ex.u21, ex.T21 / p.mass_ratio2
         G = np.random.default_rng(8).normal(size=(4, grid.Nx)) * 0.05
-        src, _ = _micro_source(relaxations(m1, m2, ex, p)[species - 1], grid, _flux_divergence(G, grid.dx))
+        sp = relaxations(m1, m2, ex, p)[species - 1]
+        src, _ = _micro_source(sp, grid, _flux_divergence(G, grid.dx))
 
         def ddx(a):
             return (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * grid.dx)
@@ -194,32 +200,9 @@ class TestMicroSource:
             + projection_at(project_from_moments(mc, mr, [m[c] for m in mom_g]), v)
             + rate * complement_at(cross, project_cross_maxwellian(mc, exc, species, mr), v)
         )
-        got = src(x, v)
+        got = source_at(src, sp, grid, x, v)
         assert np.abs(expected).max() > 0.1
         assert np.allclose(got, expected, rtol=0.0, atol=1e-10)
-
-    def test_shared_maxwellian_used_only_for_its_own_arrays(self):
-        # the cached cell Maxwellian belongs to one (x, v) pair; the same x
-        # with other velocities must be evaluated afresh
-        from kinmix.driver import _flux_divergence, _micro_source
-        from kinmix.particles import local_maxwellian, sort_by_cell
-
-        grid = GridSpec(Lx=4 * np.pi, Nx=8, Lv=20.0, Nv=64)
-        xc = grid.x_centers
-        mk = SpeciesMoments(n=1.0 + 0.1 * np.cos(xc / 2), u=0.2 * np.sin(xc / 2), T=np.full(8, 1.1))
-        n_other = np.full(8, 1.2)
-        G = np.random.default_rng(8).normal(size=(4, grid.Nx)) * 0.01
-        p = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
-        rng = np.random.default_rng(9)
-        ps = ParticleSet(x=rng.uniform(0.0, grid.Lx, 500), v=rng.normal(size=500), w=np.zeros(500))
-        ps, cells = sort_by_cell(ps, grid)
-        shared = (ps.x, ps.v, cells, local_maxwellian(ps.v, cells, mk, 1.0))
-        sp = species1_view(mk, n_other, p)
-        div = _flux_divergence(G, grid.dx)
-        src, _ = _micro_source(sp, grid, div)
-        assert np.array_equal(src(ps.x, ps.v, shared), src(ps.x, ps.v))
-        other_v = ps.v + 0.5
-        assert np.array_equal(src(ps.x, other_v, shared), src(ps.x, other_v))
 
     def test_source_moments_equal_remainder_flux_gradient(self):
         # <m(v) S> must reduce to the gradients of the deposited <m v g>
@@ -233,7 +216,8 @@ class TestMicroSource:
         rng = np.random.default_rng(8)
         G = rng.normal(size=(4, grid.Nx)) * 0.01
         p = validate_params(MixtureParams(eps1=0.5, epst1=0.5, eps2=0.5, epst2=0.5))
-        src, _ = _micro_source(species1_view(mk, n_other, p), grid, _flux_divergence(G, grid.dx))
+        sp = species1_view(mk, n_other, p)
+        src, _ = _micro_source(sp, grid, _flux_divergence(G, grid.dx))
 
         vq = np.linspace(-12, 12, 4001)
         wq = np.full(vq.size, vq[1] - vq[0])
@@ -241,7 +225,7 @@ class TestMicroSource:
         wq[-1] *= 0.5
         for c in (0, 5):
             xs = np.full(vq.size, x[c])
-            S = src(xs, vq)
+            S = source_at(src, sp, grid, xs, vq)
             got = [float(np.sum(wq * vq**k * S)) for k in range(3)]
             want = [
                 float(_centered_dx(G[1], grid.dx)[c]),

@@ -30,6 +30,11 @@ def volume(grid, ps):
     return grid.Lx * grid.Lv / ps.Np
 
 
+def sorted_init(g0, grid, Np, seed):
+    """A sampled set in cell order and its grouping (`sort_by_cell`)."""
+    return sort_by_cell(init_particles(g0, grid, Np, seed=seed), grid)
+
+
 class TestInit:
     def test_zero_initial_remainder(self):
         grid = GridSpec(Nx=8, Nv=32)
@@ -119,9 +124,9 @@ class TestDeposit:
 
     def test_matched_set_deposits_zero_moments(self):
         grid = GridSpec(Nx=8, Nv=32)
-        ps = init_particles(v4_remainder, grid, 20000, seed=11)
+        ps, cells = sorted_init(v4_remainder, grid, 20000, seed=11)
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.full(8, 5.0))
-        ps, skipped, residual, refined = match(ps, grid, mk, 1.0, work=StepWorkspace())
+        ps, skipped, residual, refined = match(ps, grid, mk, 1.0, cells, work=StepWorkspace())
         assert skipped == 0
         G = deposit(ps, grid)
         assert np.max(np.abs(G[:3])) < 1e-12
@@ -132,64 +137,64 @@ class TestDeposit:
 class TestUpdateWeights:
     def test_pure_exponential_decay(self):
         grid = GridSpec(Nx=4)
-        ps = init_particles(v4_remainder, grid, 500, seed=3)
+        ps, cells = sorted_init(v4_remainder, grid, 500, seed=3)
         lam, dt = 2.5, 0.2
-        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid, volume(grid, ps))
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, volume(grid, ps), cells)
         assert np.allclose(out.w, ps.w * np.exp(-lam * dt), rtol=0, atol=0)
 
     def test_zero_damping_is_forward_euler(self):
         grid = GridSpec(Nx=4)
-        ps = init_particles(v4_remainder, grid, 500, seed=3)
+        ps, cells = sorted_init(v4_remainder, grid, 500, seed=3)
         src = lambda x, v: np.cos(v)
         dt = 0.1
-        out = update_weights(ps, src, 0.0, dt, grid, volume(grid, ps))
+        out = update_weights(ps, src, 0.0, dt, volume(grid, ps), cells)
         expected = ps.w + dt * np.cos(ps.v) * grid.Lx * grid.Lv / ps.Np
         assert np.allclose(out.w, expected, rtol=1e-15)
         # the gain is the volume passed, whatever the size of the set
-        out = update_weights(ps, src, 0.0, dt, grid, 2.0)
+        out = update_weights(ps, src, 0.0, dt, 2.0, cells)
         assert np.allclose(out.w, ps.w + dt * np.cos(ps.v) * 2.0, rtol=1e-15)
 
     def test_small_damping_approaches_euler(self):
         grid = GridSpec(Nx=4)
-        ps = init_particles(v4_remainder, grid, 200, seed=4)
+        ps, cells = sorted_init(v4_remainder, grid, 200, seed=4)
         src = lambda x, v: np.sin(v)
         dt = 0.05
-        w_euler = update_weights(ps, src, 0.0, dt, grid, volume(grid, ps)).w
-        w_small = update_weights(ps, src, 1e-10, dt, grid, volume(grid, ps)).w
+        w_euler = update_weights(ps, src, 0.0, dt, volume(grid, ps), cells).w
+        w_small = update_weights(ps, src, 1e-10, dt, volume(grid, ps), cells).w
         assert np.max(np.abs(w_small - w_euler)) < 1e-10
 
     def test_negative_damping_rejected(self):
         grid = GridSpec(Nx=4)
-        ps = init_particles(v4_remainder, grid, 10, seed=4)
+        ps, cells = sorted_init(v4_remainder, grid, 10, seed=4)
         with pytest.raises(ValueError):
-            update_weights(ps, lambda x, v: np.zeros_like(x), -1.0, 0.1, grid, volume(grid, ps))
+            update_weights(ps, lambda x, v: np.zeros_like(x), -1.0, 0.1, volume(grid, ps), cells)
 
     def test_nan_damping_rejected(self):
         grid = GridSpec(Nx=4)
-        ps = init_particles(v4_remainder, grid, 10, seed=4)
+        ps, cells = sorted_init(v4_remainder, grid, 10, seed=4)
         lam = np.array([1.0, np.nan, 1.0, 1.0])
         with pytest.raises(ValueError, match="damping rate"):
-            update_weights(ps, lambda x, v: np.zeros_like(x), lam, 0.1, grid, volume(grid, ps))
+            update_weights(ps, lambda x, v: np.zeros_like(x), lam, 0.1, volume(grid, ps), cells)
 
     def test_per_cell_rates_reach_their_particles(self):
-        # one rate per cell, set unsorted: each particle decays at its own cell's rate
+        # one rate per cell: each particle decays at its own cell's rate
         grid = GridSpec(Nx=4)
-        ps = init_particles(v4_remainder, grid, 400, seed=5)
+        ps, cells = sorted_init(v4_remainder, grid, 400, seed=5)
         lam, dt = np.array([0.5, 1.0, 2.0, 4.0]), 0.3
-        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, grid, volume(grid, ps))
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), lam, dt, volume(grid, ps), cells)
         expected = ps.w * np.exp(-lam[grid.cell_index(ps.x)] * dt)
         assert np.array_equal(out.w, expected)
 
     def test_rates_must_be_per_cell_or_scalar(self):
         grid = GridSpec(Nx=4)
-        ps = init_particles(v4_remainder, grid, 10, seed=4)
+        ps, cells = sorted_init(v4_remainder, grid, 10, seed=4)
         with pytest.raises(ValueError, match="per cell"):
-            update_weights(ps, lambda x, v: np.zeros_like(x), np.ones(10), 0.1, grid, volume(grid, ps))
+            update_weights(ps, lambda x, v: np.zeros_like(x), np.ones(10), 0.1, volume(grid, ps), cells)
 
     def test_equilibrium_stays_zero(self):
         grid = GridSpec(Nx=4)
-        ps = init_particles(lambda x, v: np.zeros_like(x), grid, 500, seed=6)
-        out = update_weights(ps, lambda x, v: np.zeros_like(x), 3.0, 0.1, grid, volume(grid, ps))
+        ps, cells = sorted_init(lambda x, v: np.zeros_like(x), grid, 500, seed=6)
+        out = update_weights(ps, lambda x, v: np.zeros_like(x), 3.0, 0.1, volume(grid, ps), cells)
         assert np.all(out.w == 0.0)
 
     @pytest.mark.parametrize("Nx", [4, 1])
@@ -198,12 +203,12 @@ class TestUpdateWeights:
         # the gain times the source goes into a buffer of its own, also when
         # the source is the workspace's "source" buffer, as in the time step
         grid = GridSpec(Nx=Nx)
-        ps = init_particles(v4_remainder, grid, 500, seed=7)
+        ps, cells = sorted_init(v4_remainder, grid, 500, seed=7)
         work = StepWorkspace() if with_work else None
         s = work.buffer("source", ps.Np) if with_work else np.empty(ps.Np)
         s[:] = np.cos(ps.v)
         kept = s.copy()
-        out = update_weights(ps, lambda x, v: s, np.linspace(0.5, 2.0, Nx), 0.1, grid, volume(grid, ps), work=work)
+        out = update_weights(ps, lambda x, v: s, np.linspace(0.5, 2.0, Nx), 0.1, volume(grid, ps), cells, work=work)
         assert np.array_equal(s, kept)
         assert not np.shares_memory(out.w, s)
 
@@ -221,7 +226,7 @@ class TestMatch:
 
     def test_hand_solved_three_particle_cell(self):
         grid, ps, mk = self.hand_case()
-        out, skipped = match(ps, grid, mk, 1.0)[:2]
+        out, skipped = match(ps, grid, mk, 1.0, Cells(grid, ps.x))[:2]
         assert skipped == 0
         sums = cell_sums(out, grid)
         assert np.max(np.abs(sums)) < 1e-12
@@ -235,10 +240,10 @@ class TestMatch:
 
     def test_already_matched_unchanged(self):
         grid = GridSpec(Nx=8, Nv=32)
-        ps = init_particles(v4_remainder, grid, 20000, seed=13)
+        ps, cells = sorted_init(v4_remainder, grid, 20000, seed=13)
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.full(8, 5.0))
-        once = match(ps, grid, mk, 1.0)[0]
-        twice = match(once, grid, mk, 1.0)[0]
+        once = match(ps, grid, mk, 1.0, cells)[0]
+        twice = match(once, grid, mk, 1.0, cells)[0]
         assert np.max(np.abs(twice.w - once.w)) < 1e-12
 
     def test_undersampled_cell_skipped(self):
@@ -249,7 +254,7 @@ class TestMatch:
         w = np.ones(6)
         ps = ParticleSet(x=x, v=v, w=w)
         mk = SpeciesMoments(n=np.ones(2), u=np.zeros(2), T=np.ones(2))
-        out, skipped = match(ps, grid, mk, 1.0)[:2]
+        out, skipped = match(ps, grid, mk, 1.0, Cells(grid, x))[:2]
         assert skipped == 1
         assert np.array_equal(out.w[:2], w[:2])  # untouched cell
         assert np.max(np.abs(cell_sums(out, grid)[:, 1])) < 1e-12
@@ -258,13 +263,13 @@ class TestMatch:
         grid, ps, _ = self.hand_case()
         mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.array([np.nan]))
         with pytest.raises(ValueError, match="T > 0"):
-            match(ps, grid, mk, 1.0)
+            match(ps, grid, mk, 1.0, Cells(grid, ps.x))
 
     def test_degenerate_velocities_skipped(self):
         grid = GridSpec(Lx=1.0, Nx=1, Lv=4.0, Nv=8)
         ps = ParticleSet(x=np.full(4, 0.5), v=np.full(4, 0.3), w=np.ones(4))
         mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.ones(1))
-        out, skipped = match(ps, grid, mk, 1.0)[:2]
+        out, skipped = match(ps, grid, mk, 1.0, Cells(grid, ps.x))[:2]
         assert skipped == 1
         assert np.array_equal(out.w, ps.w)
 
@@ -279,8 +284,9 @@ class TestMatch:
             v=rng.uniform(-3, 3, Np),
             w=rng.normal(size=Np) * 0.1,
         )
+        ps, cells = sort_by_cell(ps, grid)
         mk = SpeciesMoments(n=np.full(4, 1.1), u=np.full(4, 0.2), T=np.full(4, 0.8))
-        out, skipped = match(ps, grid, mk, 1.0)[:2]
+        out, skipped = match(ps, grid, mk, 1.0, cells)[:2]
         assert skipped == 0
 
         factor = grid.Lx * grid.Lv / Np
@@ -299,16 +305,17 @@ class TestMatch:
     def test_third_moment_not_matched(self):
         # matching controls three moments only; <v^3 g> moves (documented)
         grid = GridSpec(Nx=4, Nv=32)
-        ps = init_particles(v4_remainder, grid, 8000, seed=17)
+        ps, cells = sorted_init(v4_remainder, grid, 8000, seed=17)
         mk = SpeciesMoments(n=np.ones(4), u=np.zeros(4), T=np.full(4, 5.0))
-        before = deposit(ps, grid)[3].copy()
-        out = match(ps, grid, mk, 1.0)[0]
-        after = deposit(out, grid)[3]
+        before = deposit(ps, grid, cells)[3].copy()
+        out = match(ps, grid, mk, 1.0, cells)[0]
+        after = deposit(out, grid, cells)[3]
         assert not np.allclose(before, after, atol=1e-12)
 
 
 class TestSortedLayout:
-    """Sets in cell order and shuffled copies of them give the same answers."""
+    """Sets in cell order and shuffled copies of them, sorted again, give the
+    same answers."""
 
     def mixed_set(self, Nx, seed=31):
         # cell 1 and the last cell are empty, cell 2 holds one particle,
@@ -338,27 +345,24 @@ class TestSortedLayout:
         assert np.all(np.diff(idx) >= 0)
         again, cells = sort_by_cell(ps, grid)
         assert again is ps
-        assert cells.order is None and np.array_equal(cells.key, idx)
+        assert np.array_equal(cells.key, idx)
         shuf, perm = self.shuffled(ps)
         back, cells = sort_by_cell(shuf, grid)
         # stable: within a cell the shuffled order is kept
         order = np.argsort(grid.cell_index(shuf.x), kind="stable")
         assert np.array_equal(back.w, shuf.w[order])
         # the grouping describes the sorted set
-        assert cells.order is None and np.array_equal(cells.key, grid.cell_index(back.x))
+        assert np.array_equal(cells.key, grid.cell_index(back.x))
 
     def test_passed_grouping_gives_same_answers(self):
+        # handed no grouping, deposit and cell_sums sort the set first: the
+        # bits of the sorted set with its grouping, whatever the input order
         grid, ps = self.mixed_set(8)
-        ps, cells = sort_by_cell(self.shuffled(ps)[0], grid)
-        mk = SpeciesMoments(n=np.full(8, 1.1), u=np.full(8, 0.2), T=np.full(8, 1.3))
+        shuf = self.shuffled(ps)[0]
+        ps, cells = sort_by_cell(shuf, grid)
         assert np.array_equal(deposit(ps, grid, cells=cells), deposit(ps, grid))
-        lam = np.linspace(0.0, 3.0, 8)
-        src = lambda x, v: np.cos(v)  # noqa: E731
-        got = update_weights(ps, src, lam, 0.1, grid, volume(grid, ps), cells=cells)
-        assert np.array_equal(got.w, update_weights(ps, src, lam, 0.1, grid, volume(grid, ps)).w)
-        a, sk_a = match(ps, grid, mk, 1.0, idx=cells.key, cells=cells)[:2]
-        b, sk_b = match(ps, grid, mk, 1.0)[:2]
-        assert sk_a == sk_b and np.array_equal(a.w, b.w)
+        assert np.array_equal(deposit(ps, grid, cells=cells), deposit(shuf, grid))
+        assert np.array_equal(cell_sums(shuf, grid), deposit(ps, grid, cells=cells)[:3] * grid.dx)
 
     @pytest.mark.parametrize("Nx", [8, 1])
     def test_deposit_and_cell_sums_order_free(self, Nx):
@@ -382,15 +386,20 @@ class TestSortedLayout:
 
     @pytest.mark.parametrize("Nx", [8, 1])
     def test_match_order_free(self, Nx):
+        # the order of the particles within each cell moves no weight
+        # beyond round-off
         grid, ps = self.set_for(Nx)
         mk = SpeciesMoments(n=np.full(Nx, 1.1), u=np.full(Nx, 0.2), T=np.full(Nx, 1.3))
         shuf, perm = self.shuffled(ps)
-        a, skipped_a = match(ps, grid, mk, 1.0)[:2]
-        b, skipped_b = match(shuf, grid, mk, 1.0)[:2]
+        perm = perm[np.argsort(grid.cell_index(shuf.x), kind="stable")]
+        shuf, cells = sort_by_cell(shuf, grid)
+        a, skipped_a = match(ps, grid, mk, 1.0, Cells(grid, ps.x))[:2]
+        b, skipped_b = match(shuf, grid, mk, 1.0, cells)[:2]
         # cells holding one or two particles cannot be solved and are counted
         assert skipped_a == skipped_b == (2 if Nx > 1 else 0)
         assert np.array_equal(b.x, shuf.x) and np.array_equal(b.v, shuf.v)
-        # weight by weight, in each caller's own order
+        # weight by weight, shuf being ps[perm]
+        assert np.array_equal(shuf.w, ps.w[perm])
         assert np.max(np.abs(b.w - a.w[perm])) <= 1e-13 * np.max(np.abs(ps.w))
         solved = [c for c in range(Nx) if c not in (2, 3)] if Nx > 1 else [0]
         assert np.max(np.abs(cell_sums(b, grid)[:, solved])) < 1e-12
@@ -425,14 +434,14 @@ class TestOneCellGrouping:
         # in range, -0.0, at Lx, negative, several periods out and NaN
         x = np.array([0.5, -0.0, 0.0, 2.0, -0.25, 7.5, -40.0, np.nextafter(2.0, 0.0), np.nan])
         cells = Cells(grid, x)
-        assert cells.order is None and cells.span == slice(0, 1)
+        assert cells.span == slice(0, 1)
         assert np.array_equal(cells.counts, [x.size])
         assert cells.key.dtype == np.uint8 and cells.key.shape == x.shape and not cells.key.any()
-        # a passed index is not needed either
-        assert np.array_equal(Cells(grid, x, idx=np.zeros(x.size, int)).counts, [x.size])
+        # a passed key is not read either
+        assert np.array_equal(Cells(grid, x, key=np.arange(x.size)[::-1]).counts, [x.size])
         ps = ParticleSet(x=x, v=np.linspace(-1.0, 1.0, x.size), w=np.arange(x.size, dtype=float))
         again, grouped = sort_by_cell(ps, grid)
-        assert again is ps and grouped.order is None
+        assert again is ps and np.array_equal(grouped.counts, [x.size])
         assert cells.sum(ps.w)[0] == np.add.reduceat(ps.w, [0])[0]
         assert np.array_equal(Cells(grid, np.empty(0)).counts, [0])
 
@@ -444,12 +453,44 @@ class TestOneCellGrouping:
         cells = Cells(grid, x)
         if Nx > 1:
             cells = cells._block(0, 1, 0, x.size)
-        for spread in (cells.repeat, cells.expand):
-            f = spread(np.array([2.5]))
-            assert f.shape == (1,) and f[0] == 2.5
-            assert spread(1.5).shape == (1,)
+        f = cells.repeat(np.array([2.5]))
+        assert f.shape == (1,) and f[0] == 2.5 and not f.flags.writeable
+        assert cells.repeat(1.5).shape == (1,)
         v = np.linspace(-1.0, 1.0, x.size)
         assert np.array_equal(v * cells.repeat([0.3]), v * np.repeat(0.3, x.size))
+
+
+class TestGroupingPrecondition:
+    """A grouping describes one set in cell order; anything else is refused,
+    naming what is needed."""
+
+    def test_cells_rejects_a_set_out_of_cell_order(self):
+        grid = GridSpec(Lx=4.0, Nx=4, Nv=16)
+        x = np.array([0.5, 2.5, 1.5, 3.5])
+        with pytest.raises(ValueError, match="cell order"):
+            Cells(grid, x)
+        with pytest.raises(ValueError, match="cell order"):
+            Cells(grid, np.sort(x), key=np.array([0, 2, 1, 3], dtype=np.uint8))
+        assert np.array_equal(Cells(grid, np.sort(x)).counts, [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("Nx", [8, 1])
+    def test_grouping_of_another_set_size_is_refused(self, Nx):
+        # a 400-particle set with the grouping of a 300-particle one, and the
+        # reverse: deposit would sum the wrong segments or fail in reduceat
+        grid = GridSpec(Nx=Nx, Nv=16)
+        big, big_cells = sorted_init(v4_remainder, grid, 400, seed=8)
+        small, small_cells = sorted_init(v4_remainder, grid, 300, seed=9)
+        mk = SpeciesMoments(n=np.ones(Nx), u=np.zeros(Nx), T=np.full(Nx, 5.0))
+        zero = lambda x, v: np.zeros_like(x)  # noqa: E731
+        for ps, cells in ((big, small_cells), (small, big_cells)):
+            with pytest.raises(ValueError, match="does not fit a set of .*cell order"):
+                deposit(ps, grid, cells)
+            with pytest.raises(ValueError, match="does not fit a set of .*cell order"):
+                update_weights(ps, zero, 1.0, 0.1, volume(grid, ps), cells)
+            with pytest.raises(ValueError, match="does not fit a set of .*cell order"):
+                match(ps, grid, mk, 1.0, cells)
+        # each set with its own grouping is accepted
+        assert np.array_equal(deposit(big, grid, big_cells), deposit(big, grid))
 
 
 class TestAdaptiveMatch:
@@ -478,17 +519,19 @@ class TestAdaptiveMatch:
     )
     def test_agrees_with_two_pass_oracle(self, case):
         grid, ps = self.cases()[case]
+        ps, cells = sort_by_cell(ps, grid)
         n, u, T = np.full(grid.Nx, 1.1), np.full(grid.Nx, 0.2), np.full(grid.Nx, 1.3)
-        out, skipped = match(ps, grid, SpeciesMoments(n=n, u=u, T=T), 1.0)[:2]
+        out, skipped = match(ps, grid, SpeciesMoments(n=n, u=u, T=T), 1.0, cells)[:2]
         w_ref, skipped_ref = match_two_pass(grid.cell_index(ps.x), ps.v, ps.w, n, u, T)
         assert skipped == skipped_ref
         assert np.max(np.abs(out.w - w_ref)) <= 1e-13 * np.max(np.abs(ps.w))
 
     def test_input_weights_left_untouched(self):
         grid, ps = self.cases()["mixed-shuffled"]
+        ps, cells = sort_by_cell(ps, grid)
         w0 = ps.w.copy()
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.ones(8))
-        out = match(ps, grid, mk, 1.0, work=StepWorkspace())[0]
+        out = match(ps, grid, mk, 1.0, cells, work=StepWorkspace())[0]
         assert np.array_equal(ps.w, w0) and not np.shares_memory(out.w, ps.w)
 
     def test_inexact_first_solve_is_refined_below_tolerance(self):
@@ -514,7 +557,7 @@ class TestAdaptiveMatch:
         r, scale = residual_and_scale(w_once)
         assert np.any(r > 100.0 * MATCH_RTOL * scale)
 
-        out, skipped, residual, refined = match(ps, grid, mk, 1.0, work=StepWorkspace())
+        out, skipped, residual, refined = match(ps, grid, mk, 1.0, Cells(grid, ps.x), work=StepWorkspace())
         assert skipped == 0 and refined == 1
         r, scale = residual_and_scale(out.w)
         assert np.all(r <= MATCH_RTOL * scale)

@@ -7,7 +7,7 @@ import pytest
 
 from kinmix.grids import GridSpec
 from kinmix.model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian, validate_params
-from kinmix.particles import Cells
+from kinmix.particles import Cells, ParticleSet, sort_by_cell
 from kinmix.projection import bracket, eval_projection, hermite_gram, maxwellian_samples
 
 from oracles import (
@@ -193,18 +193,19 @@ class TestEvalProjection:
         assert got is out
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
-    def test_particles_in_any_order_equal_closed_form(self):
+    def test_particles_in_cell_order_equal_closed_form(self):
         mr = 1.5
         grid = GridSpec(Lx=4.0, Nx=self.N.size, Lv=20.0, Nv=8)
         rng = np.random.default_rng(4)
-        x = rng.uniform(0.0, grid.Lx, 400)
-        v = rng.uniform(-5.0, 5.0, 400)
+        ps = ParticleSet(x=rng.uniform(0.0, grid.Lx, 400), v=rng.uniform(-5.0, 5.0, 400), w=np.zeros(400))
+        ps, cells = sort_by_cell(ps, grid)
+        x, v = ps.x, ps.v
         cell = grid.cell_index(x)
         th = self.T / mr
         mom = self.phi_moments()
         h1 = (v - self.U[cell]) / np.sqrt(th[cell])
         M = gaussian(self.N[cell], self.U[cell], th[cell], v)
-        got = eval_projection(bracket(*mom, self.N, th), h1, M, Cells(grid, x).expand, np.empty_like(v))
+        got = eval_projection(bracket(*mom, self.N, th), h1, M, cells.repeat, np.empty_like(v))
         want = self.oracle(mr, mom, cell, v)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
@@ -232,16 +233,15 @@ class TestMaxwellianSamples:
         assert np.allclose(h1, (v[None, :] - self.U[:, None]) / np.sqrt(th)[:, None], rtol=1e-15, atol=0.0)
         self.assert_close(got, want, want.max(axis=1, keepdims=True))
 
-    def test_unsorted_particles_agree_with_model_maxwellian(self):
+    def test_particles_in_cell_order_agree_with_model_maxwellian(self):
         mr = 1.5
         grid = GridSpec(Lx=4.0, Nx=self.N.size, Lv=20.0, Nv=8)
         rng = np.random.default_rng(6)
-        x = rng.uniform(0.0, grid.Lx, 400)
-        v = rng.uniform(-5.0, 5.0, 400)
-        cells = Cells(grid, x)
-        assert cells.order is not None
-        cell = grid.cell_index(x)
-        got = maxwellian_samples(v, self.U, self.T / mr, self.N, cells.expand, np.empty(v.size), np.empty(v.size))
+        ps = ParticleSet(x=rng.uniform(0.0, grid.Lx, 400), v=rng.uniform(-5.0, 5.0, 400), w=np.zeros(400))
+        ps, cells = sort_by_cell(ps, grid)
+        v = ps.v
+        cell = grid.cell_index(ps.x)
+        got = maxwellian_samples(v, self.U, self.T / mr, self.N, cells.repeat, np.empty(v.size), np.empty(v.size))
         want = maxwellian(SpeciesMoments(n=self.N[cell], u=self.U[cell], T=self.T[cell]), mr, v)
         self.assert_close(got, want, (self.N / np.sqrt(2.0 * np.pi * self.T / mr))[cell])
 
