@@ -41,12 +41,17 @@ def main(argv=None) -> int:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return 1
 
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory: {e}", file=sys.stderr)
+        return 1
+
     from .driver import run
 
     t0 = time.perf_counter()
     try:
         result = run(cfg)
-        os.makedirs(args.out, exist_ok=True)
         write_timeseries(os.path.join(args.out, "timeseries.csv"), result)
         for i, snap in enumerate(result.snapshots):
             write_snapshot(args.out, snap, i)

@@ -39,7 +39,6 @@ from .model import MixtureParams, Relaxation, SpeciesMoments, exchange_quantitie
 from .particles import (
     ParticleSet,
     blocks,
-    cell_fields,
     deposit,
     init_particles,
     local_maxwellian,
@@ -118,7 +117,7 @@ def _micro_source(sp: Relaxation, grid: GridSpec, flux_div: np.ndarray | None, w
     per-cell coefficients, which `projection.eval_projection` evaluates
     against M_k.
     """
-    n, u, th = cell_fields(sp.moments, sp.mr, grid.Nx)
+    n, u, th = sp.moments.n, sp.moments.u, sp.moments.T / sp.mr
     rate, theta_cross = sp.inter, sp.T_cross / sp.mr
 
     # moments of the interaction Maxwellian against (1, v-u, |v-u|^2)
@@ -171,26 +170,23 @@ def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
     `work`.  The source's per-cell coefficients are built once on the whole
     grid; in each block the cell Maxwellian at its particles is evaluated
     once and shared by the source, the update and the matching, and the
-    matched weights go into one new array for the whole set.  Returns
-    (matched set, skipped cells, largest post-match residual, re-solved
-    cells)."""
+    matched weights are copied into one new array for the whole set.
+    Returns (matched set, skipped cells, largest post-match residual,
+    re-solved cells)."""
     source_for, lam = _micro_source(sp, grid, flux_div, work)
     volume = grid.Lx * grid.Lv / ps.Np
-    parts = blocks(ps, cells)
-    w = np.empty(ps.Np) if len(parts) > 1 else None
+    w = np.empty(ps.Np)
     diags = []
-    for sl, psb, cb in parts:
+    for sl, psb, cb in blocks(ps, cells):
         span = cb.span
         mk = SpeciesMoments(n=sp.moments.n[span], u=sp.moments.u[span], T=sp.moments.T[span])
         loc = local_maxwellian(psb.v, cb, mk, sp.mr, work)
         psb = update_weights(psb, source_for(cb, loc), lam[span], dt, volume, cells=cb, work=work)
-        matched, *diag = match(psb, grid, mk, sp.mr, cells=cb, idx=cb.key, local=loc, work=work)
-        if w is not None:
-            w[sl] = matched.w
+        matched, *diag = match(psb, grid, loc, cb, idx=span.start + np.flatnonzero(cb.counts), work=work)
+        w[sl] = matched.w
         diags.append(diag)
     skipped, residual, refined = zip(*diags)
-    matched = matched if w is None else ParticleSet(x=ps.x, v=ps.v, w=w)
-    return matched, sum(skipped), float(np.max(residual)), sum(refined)
+    return ParticleSet(x=ps.x, v=ps.v, w=w), sum(skipped), float(np.max(residual)), sum(refined)
 
 
 def step(sim: SimState, p: MixtureParams, grid: GridSpec, dt: float):

@@ -17,10 +17,11 @@ the particles with the same operation per element, and on a one-cell grid
 it computes no cell index either.  The sort is stable, so the particle
 order, and with it the order of every floating-point sum, depends only on
 the seed and the step count: repeated runs with the same seed are
-bit-reproducible.  Only `sort_by_cell` orders a set: every function that
-reads per-cell particle data takes a set in cell order with its grouping
-(`Cells`), which the time step builds once per species and step.  Handed no
-grouping, `deposit` and `cell_sums` sort the set first.
+bit-reproducible.  Only `sort_by_cell` orders a set and groups it: every
+function that reads per-cell particle data takes a set in cell order with
+its grouping (`Cells`, the particle count of each cell), which the time step
+builds once per species and step.  Handed no grouping, `deposit` and
+`cell_sums` sort the set first.
 
 The time step relaxes a species block by block (`blocks`): a block is a run
 of whole consecutive cells that together hold at most `BLOCK` particles, or a
@@ -37,11 +38,12 @@ sized by the block, not by the set.  Every function that takes a workspace
 (`work=`) also runs without one, and then allocates its buffers.  The step
 relaxes one block after the other, and one species after the other, through
 the same buffers, so one workspace serves both species and grows to the
-largest block.  Buffers whose lifetimes do not overlap share storage:
+largest block; it copies each block's matched weights into the new state.
+Buffers whose lifetimes do not overlap share storage:
 
     "h1", "M"    the cell Maxwellian at the particles (source, update, match)
     "source"     the micro source, then the matching correction
-    "weights"    the updated weights, until the matching has read them
+    "weights"    the updated weights, matched in place
     "scratch"    the cross-Maxwellian term, then the gain times the source,
                  then the products that are summed
 """
@@ -84,42 +86,24 @@ class ParticleSet:
 
 
 class Cells:
-    """The grouping of a particle set in cell order (`sort_by_cell`).
+    """The grouping of a particle set in cell order: cell c of `span` holds
+    counts[c] consecutive particles.
 
-    Cell c holds counts[c] consecutive particles, and `key` holds their cell
-    indices in the smallest unsigned dtype that fits Nx, which numpy sorts by
-    radix; a key out of cell order raises ValueError.  `span` is the slice of
-    the grid's cells that the grouping covers, all of them or one block's
-    (`blocks`); counts and per-cell results run over those cells.  On a
-    one-cell grid every particle is in cell 0 whatever its x, so neither x
-    nor key is read: the key is zero and the set is in order.
+    `span` is the slice of the grid's cells that the grouping covers, all of
+    them (the default) or one block's (`blocks`); counts and per-cell
+    results run over those cells.  `sort_by_cell` and `blocks` build the
+    groupings of the time step.
     """
 
-    def __init__(self, grid: GridSpec, x: np.ndarray, key: np.ndarray | None = None):
-        if grid.Nx == 1:  # every particle is in cell 0, whatever its x
-            key = np.zeros(np.size(x), dtype=np.uint8)
-        elif key is None:
-            key = grid.cell_index(x).astype(np.min_scalar_type(grid.Nx - 1), copy=False)
-        if grid.Nx > 1 and key.size > 1 and not np.all(key[1:] >= key[:-1]):
-            raise ValueError("Cells needs a set in cell order; sort it with sort_by_cell")
-        starts = np.searchsorted(key, np.arange(grid.Nx, dtype=key.dtype))
-        self._segments(slice(0, grid.Nx), key, starts, np.diff(starts, append=key.size))
-
-    def _segments(self, span: slice, key: np.ndarray, starts: np.ndarray, counts: np.ndarray):
-        self.span, self.key, self.counts = span, key, counts
+    def __init__(self, counts: np.ndarray, span: slice | None = None):
+        self.counts = counts
+        self.span = slice(0, counts.size) if span is None else span
         filled = counts > 0
         # reduceat reads an empty segment as the element at its start, so
         # only filled cells are reduced and the others are zeroed
         self._filled = None if filled.all() else filled
+        starts = np.cumsum(counts) - counts
         self._starts = starts if self._filled is None else starts[filled]
-
-    def _block(self, c0: int, c1: int, p0: int, p1: int) -> "Cells":
-        """The grouping of cells c0..c1-1 of a whole-grid grouping in cell
-        order, whose particles are p0..p1-1."""
-        b = Cells.__new__(Cells)
-        counts = self.counts[c0:c1]
-        b._segments(slice(c0, c1), self.key[p0:p1], np.cumsum(counts) - counts, counts)
-        return b
 
     def check(self, ps: "ParticleSet"):
         """Raise ValueError unless this grouping holds as many particles as ps."""
@@ -157,23 +141,18 @@ class LocalMaxwellian:
     M: np.ndarray
 
 
-def cell_fields(Mk: SpeciesMoments, mass_ratio: float, Nx: int):
-    """(n, u, theta = T/m) of a species as float arrays of shape (Nx,), broadcast where needed."""
-    fields = (np.asarray(Mk.n, dtype=float), np.asarray(Mk.u, dtype=float), np.asarray(Mk.T, dtype=float) / mass_ratio)
-    return tuple(f if f.shape == (Nx,) else np.broadcast_to(f, (Nx,)) for f in fields)
-
-
 def local_maxwellian(
     v: np.ndarray, cells: Cells, Mk: SpeciesMoments, mass_ratio: float, work: StepWorkspace | None = None
 ) -> LocalMaxwellian:
-    """Evaluate the cell Maxwellian of Mk at the velocities v of a set in
-    cell order grouped by `cells`, into the workspace's "h1" and "M" buffers."""
-    n, u, th = cell_fields(Mk, mass_ratio, cells.counts.size)
+    """Evaluate the cell Maxwellian of Mk, whose fields are per cell of
+    `cells` or scalars, at the velocities v of a set in cell order grouped
+    by `cells`, into the workspace's "h1" and "M" buffers."""
+    th = np.asarray(Mk.T, dtype=float) / mass_ratio
     if not np.all(th > 0):
         raise ValueError("the cell Maxwellian requires T > 0 in every cell")
     work = step_workspace(work)
     h1 = work.buffer("h1", v.size)
-    return LocalMaxwellian(h1=h1, M=maxwellian_samples(v, u, th, n, cells.repeat, h1, work.buffer("M", v.size)))
+    return LocalMaxwellian(h1=h1, M=maxwellian_samples(v, Mk.u, th, Mk.n, cells.repeat, h1, work.buffer("M", v.size)))
 
 
 def init_particles(g0, grid: GridSpec, Np: int, seed) -> ParticleSet:
@@ -206,16 +185,20 @@ def sort_by_cell(ps: ParticleSet, grid: GridSpec):
     """Stable sort of a set into cell order, the only code that orders a set.
 
     Returns (sorted set, its `Cells`); the set comes back unchanged, not
-    copied, when it already is in cell order.
+    copied, when it already is in cell order.  The sort key holds the cell
+    indices in the smallest unsigned dtype that fits Nx, which numpy sorts
+    by radix; the counts are read off the sorted key.  On a one-cell grid
+    every particle is in cell 0 whatever its x, so no key is made.
     """
     if grid.Nx == 1:
-        return ps, Cells(grid, ps.x)
+        return ps, Cells(np.array([ps.Np]))
     key = grid.cell_index(ps.x).astype(np.min_scalar_type(grid.Nx - 1), copy=False)
     if key.size > 1 and not np.all(key[1:] >= key[:-1]):
         o = np.argsort(key, kind="stable")
         key = key[o]
         ps = ParticleSet(x=np.take(ps.x, o), v=np.take(ps.v, o), w=np.take(ps.w, o))
-    return ps, Cells(grid, ps.x, key)
+    starts = np.searchsorted(key, np.arange(grid.Nx, dtype=key.dtype))
+    return ps, Cells(np.diff(starts, append=key.size))
 
 
 def blocks(ps: ParticleSet, cells: Cells) -> list:
@@ -239,7 +222,7 @@ def blocks(ps: ParticleSet, cells: Cells) -> list:
             c1 = counts.size
         p1 = int(ends[c1 - 1])
         sl = slice(p0, p1)
-        out.append((sl, ParticleSet(x=ps.x[sl], v=ps.v[sl], w=ps.w[sl]), cells._block(c0, c1, p0, p1)))
+        out.append((sl, ParticleSet(x=ps.x[sl], v=ps.v[sl], w=ps.w[sl]), Cells(counts[c0:c1], slice(c0, c1))))
         c0 = c1
     return out
 
@@ -336,41 +319,36 @@ def _hermite_sums(w: np.ndarray, h1: np.ndarray, reduce, tmp: np.ndarray, with_s
 def match(
     ps: ParticleSet,
     grid: GridSpec,
-    Mk: SpeciesMoments,
-    mass_ratio: float,
+    local: LocalMaxwellian,
     cells: Cells,
     idx: np.ndarray | None = None,
-    local: LocalMaxwellian | None = None,
     work: StepWorkspace | None = None,
 ):
     """Per-cell weight correction zeroing the discrete sums of m(v) of a set
-    in cell order grouped by `cells`; Mk holds the moments of its cells.
+    in cell order grouped by `cells`; `local` is the cell Maxwellian at its
+    particles (`local_maxwellian`).
 
     Subtracts c(v) = [a0 + a1 v + a2 v^2] M_k(v) * Lx Lv / Np sampled at the
     cell's particles, with (a0, a1, a2) from an exact 3x3 solve, so that
-    sum w, sum w v, sum w v^2 vanish per cell.  Internally the solve uses the
-    scaled Hermite basis of the cell Maxwellian to keep the system
+    sum w, sum w v, sum w v^2 vanish per cell.  The solve uses the scaled
+    Hermite basis of the cell Maxwellian to keep the system
     well-conditioned.  Each cell is solved once; the post-match sums are
     then measured, and only a cell whose residual exceeds MATCH_RTOL times
     the round-off scale of its sums is re-solved against that residual.
-    `local` is that basis at the particles when the caller already has it,
-    from `local_maxwellian` with the same Mk.  Neither grid nor idx is read:
-    the benchmark's traced runs take the grid's size from the one and count
-    the populated cells from the other, which the caller sets to `cells.key`.
+    Neither grid nor idx is read: perfbench's traced runs take the grid's
+    size from the one and count the populated cells from the other, which
+    the time step sets to the grid indices of the populated cells of
+    `cells` (`span.start + np.flatnonzero(counts)`).
 
     Returns (matched ParticleSet, number of cells skipped as unsolvable,
     largest post-match per-cell residual of a solved cell, number of
-    re-solved cells); the weights come back newly allocated.
+    re-solved cells).  The matched weights are the workspace's "weights"
+    buffer, in place when ps.w is that buffer (a new array without `work`),
+    which the next weight update overwrites.
     """
     cells.check(ps)
     counts = cells.counts
-    _, _, th = cell_fields(Mk, mass_ratio, counts.size)
-    if not np.all(th > 0):
-        raise ValueError("matching requires T > 0 in every cell")
-
     work = step_workspace(work)
-    if local is None:
-        local = local_maxwellian(ps.v, cells, Mk, mass_ratio, work)
     h1, M, w = local.h1, local.M, ps.w
     tmp = work.buffer("scratch", w.size)
 
@@ -390,7 +368,7 @@ def match(
     a = np.zeros((counts.size, 3))
     a[good] = np.linalg.solve(A[good], _hermite_sums(w, h1, cells.sum, tmp)[good][..., None])[..., 0]
     corr = eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, work.buffer("source", w.size))
-    out = np.subtract(w, corr)
+    out = np.subtract(w, corr, out=work.buffer("weights", w.size))
 
     r, roundoff = _hermite_sums(out, h1, cells.sum, tmp, with_scale=True)
     refine = np.flatnonzero(good & np.any(np.abs(r) > MATCH_RTOL * roundoff, axis=1))

@@ -408,6 +408,24 @@ class TestCLI:
         assert "error: invalid config: field 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # the output directory is created before the simulation runs, so a
+        # --out that cannot be a directory costs no run and is named as such
+        import kinmix.driver
+
+        def run(cfg):
+            raise AssertionError("driver.run called although --out cannot be created")
+
+        monkeypatch.setattr(kinmix.driver, "run", run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text())
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        for out in (taken, taken / "sub"):
+            assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("error: cannot create output directory: ")
+        assert taken.read_text() == "kept"
+
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{}")

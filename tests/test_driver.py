@@ -41,17 +41,19 @@ def equilibrium_state(grid, p):
 
 def restore_cell_bookkeeping(mp):
     """Patch (with the monkeypatch `mp`) the bookkeeping that a grouping of
-    one cell skips back in: every grouping indexes its particles by
-    `GridSpec.cell_index` and spreads its fields by `np.repeat`, the step's
-    weight update multiplies the source into the spread gain, and
-    `driver._reconstruct_f` bins by cell and velocity."""
+    one cell skips back in: the step counts the particles of a one-cell grid
+    by `GridSpec.cell_index` too, every grouping spreads its fields by
+    `np.repeat`, the step's weight update multiplies the source into the
+    spread gain, and `driver._reconstruct_f` bins by cell and velocity."""
     import kinmix.driver as driver
     from kinmix.model import maxwellian
 
-    def init(self, grid, x, key=None):
-        key = grid.cell_index(x).astype(np.min_scalar_type(grid.Nx - 1))
-        starts = np.searchsorted(key, np.arange(grid.Nx, dtype=key.dtype))
-        self._segments(slice(0, grid.Nx), key, starts, np.diff(starts, append=key.size))
+    sort = driver.sort_by_cell
+
+    def sort_by_cell(ps, grid):
+        if grid.Nx > 1:
+            return sort(ps, grid)
+        return ps, Cells(np.bincount(grid.cell_index(ps.x), minlength=grid.Nx))
 
     def repeat(self, field):
         return np.repeat(np.broadcast_to(np.asarray(field, dtype=float), self.counts.shape), self.counts)
@@ -77,7 +79,7 @@ def restore_cell_bookkeeping(mp):
             out.append(f)
         return out
 
-    mp.setattr(Cells, "__init__", init)
+    mp.setattr(driver, "sort_by_cell", sort_by_cell)
     mp.setattr(Cells, "repeat", repeat)
     mp.setattr(driver, "update_weights", update_weights)
     mp.setattr(driver, "_reconstruct_f", reconstruct_f)
@@ -410,6 +412,39 @@ class TestStep:
             assert da == db
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("Nx, limit", [(8, 200), (8, 10**6), (1, 10**6)])
+    def test_match_hook_receives_the_populated_cells_of_each_block(self, monkeypatch, Nx, limit):
+        # perfbench's traced runs wrap `match`, read the grid as args[1] and
+        # count np.bincount(idx, minlength=grid.Nx)'s nonzero entries as the
+        # block's populated cells: the step passes idx by keyword, and it
+        # names each populated cell of the block, and only those
+        import kinmix.driver as driver
+        import kinmix.particles as particles
+        from kinmix.driver import SimState
+
+        grid, p, macro, ps1, ps2 = self.block_case()
+        if Nx == 1:
+            grid = GridSpec(Lx=grid.Lx, Nx=1, Nv=grid.Nv)
+            macro = MacroState(U1=macro.U1[:1], U2=macro.U2[:1], dx=grid.dx)
+        monkeypatch.setattr(particles, "BLOCK", limit)
+        calls, original = [], driver.match
+
+        def match(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "match", match)
+        step(SimState(macro=macro, ps1=ps1, ps2=ps2), p, grid, 1e-3)
+        blocks_per_species = len(particles.blocks(*particles.sort_by_cell(ps1, grid)))
+        assert len(calls) == blocks_per_species + len(particles.blocks(*particles.sort_by_cell(ps2, grid)))
+        assert blocks_per_species == (3 if limit == 200 else 1)
+        for args, kwargs in calls:
+            assert args[1] is grid
+            cb, idx = kwargs["cells"] if "cells" in kwargs else args[3], kwargs["idx"]
+            assert np.count_nonzero(np.bincount(idx, minlength=grid.Nx)) == np.count_nonzero(cb.counts)
+            assert np.all((cb.span.start <= idx) & (idx < cb.span.stop))
+            assert np.array_equal(np.bincount(idx - cb.span.start, minlength=cb.counts.size) > 0, cb.counts > 0)
+
     def test_step_buffers_are_sized_by_the_block(self):
         # at Np >> BLOCK every workspace buffer holds at most one block:
         # BLOCK floats, or the particles of the largest cell
@@ -544,7 +579,7 @@ class TestHomogeneousMode:
                 if legacy:
                     restore_cell_bookkeeping(mp)
                     mp.setattr(driver, "fv_step", fv_step)
-                    assert Cells(GridSpec(Nx=1), np.zeros(3)).repeat(1.0).shape == (3,)
+                    assert Cells(np.array([3])).repeat(1.0).shape == (3,)
                 else:
                     def refuse(self, x):
                         raise AssertionError("cell_index called on one cell")

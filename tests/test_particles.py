@@ -11,6 +11,7 @@ from kinmix.particles import (
     cell_sums,
     deposit,
     init_particles,
+    local_maxwellian,
     match,
     push,
     sort_by_cell,
@@ -33,6 +34,19 @@ def volume(grid, ps):
 def sorted_init(g0, grid, Np, seed):
     """A sampled set in cell order and its grouping (`sort_by_cell`)."""
     return sort_by_cell(init_particles(g0, grid, Np, seed=seed), grid)
+
+
+def grouping(ps, grid):
+    """The grouping of a set that already is in cell order."""
+    again, cells = sort_by_cell(ps, grid)
+    assert again is ps
+    return cells
+
+
+def match_to(ps, grid, mk, cells, work=None):
+    """`match` of a set in cell order against the cell Maxwellian of mk
+    (mass ratio 1), evaluated by `local_maxwellian` as the time step does."""
+    return match(ps, grid, local_maxwellian(ps.v, cells, mk, 1.0, work), cells, work=work)
 
 
 class TestInit:
@@ -126,7 +140,7 @@ class TestDeposit:
         grid = GridSpec(Nx=8, Nv=32)
         ps, cells = sorted_init(v4_remainder, grid, 20000, seed=11)
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.full(8, 5.0))
-        ps, skipped, residual, refined = match(ps, grid, mk, 1.0, cells, work=StepWorkspace())
+        ps, skipped, residual, refined = match_to(ps, grid, mk, cells, work=StepWorkspace())
         assert skipped == 0
         G = deposit(ps, grid)
         assert np.max(np.abs(G[:3])) < 1e-12
@@ -226,7 +240,7 @@ class TestMatch:
 
     def test_hand_solved_three_particle_cell(self):
         grid, ps, mk = self.hand_case()
-        out, skipped = match(ps, grid, mk, 1.0, Cells(grid, ps.x))[:2]
+        out, skipped = match_to(ps, grid, mk, grouping(ps, grid))[:2]
         assert skipped == 0
         sums = cell_sums(out, grid)
         assert np.max(np.abs(sums)) < 1e-12
@@ -242,8 +256,8 @@ class TestMatch:
         grid = GridSpec(Nx=8, Nv=32)
         ps, cells = sorted_init(v4_remainder, grid, 20000, seed=13)
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.full(8, 5.0))
-        once = match(ps, grid, mk, 1.0, cells)[0]
-        twice = match(once, grid, mk, 1.0, cells)[0]
+        once = match_to(ps, grid, mk, cells)[0]
+        twice = match_to(once, grid, mk, cells)[0]
         assert np.max(np.abs(twice.w - once.w)) < 1e-12
 
     def test_undersampled_cell_skipped(self):
@@ -254,22 +268,16 @@ class TestMatch:
         w = np.ones(6)
         ps = ParticleSet(x=x, v=v, w=w)
         mk = SpeciesMoments(n=np.ones(2), u=np.zeros(2), T=np.ones(2))
-        out, skipped = match(ps, grid, mk, 1.0, Cells(grid, x))[:2]
+        out, skipped = match_to(ps, grid, mk, grouping(ps, grid))[:2]
         assert skipped == 1
         assert np.array_equal(out.w[:2], w[:2])  # untouched cell
         assert np.max(np.abs(cell_sums(out, grid)[:, 1])) < 1e-12
-
-    def test_nan_temperature_rejected(self):
-        grid, ps, _ = self.hand_case()
-        mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.array([np.nan]))
-        with pytest.raises(ValueError, match="T > 0"):
-            match(ps, grid, mk, 1.0, Cells(grid, ps.x))
 
     def test_degenerate_velocities_skipped(self):
         grid = GridSpec(Lx=1.0, Nx=1, Lv=4.0, Nv=8)
         ps = ParticleSet(x=np.full(4, 0.5), v=np.full(4, 0.3), w=np.ones(4))
         mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.ones(1))
-        out, skipped = match(ps, grid, mk, 1.0, Cells(grid, ps.x))[:2]
+        out, skipped = match_to(ps, grid, mk, grouping(ps, grid))[:2]
         assert skipped == 1
         assert np.array_equal(out.w, ps.w)
 
@@ -286,7 +294,7 @@ class TestMatch:
         )
         ps, cells = sort_by_cell(ps, grid)
         mk = SpeciesMoments(n=np.full(4, 1.1), u=np.full(4, 0.2), T=np.full(4, 0.8))
-        out, skipped = match(ps, grid, mk, 1.0, cells)[:2]
+        out, skipped = match_to(ps, grid, mk, cells)[:2]
         assert skipped == 0
 
         factor = grid.Lx * grid.Lv / Np
@@ -308,9 +316,19 @@ class TestMatch:
         ps, cells = sorted_init(v4_remainder, grid, 8000, seed=17)
         mk = SpeciesMoments(n=np.ones(4), u=np.zeros(4), T=np.full(4, 5.0))
         before = deposit(ps, grid, cells)[3].copy()
-        out = match(ps, grid, mk, 1.0, cells)[0]
+        out = match_to(ps, grid, mk, cells)[0]
         after = deposit(out, grid, cells)[3]
         assert not np.allclose(before, after, atol=1e-12)
+
+
+class TestLocalMaxwellian:
+    def test_nan_temperature_rejected(self):
+        # the one T > 0 check of the particle step, ahead of the source, the
+        # weight update and the matching, which all read its result
+        grid, ps, _ = TestMatch().hand_case()
+        mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.array([np.nan]))
+        with pytest.raises(ValueError, match="T > 0"):
+            local_maxwellian(ps.v, grouping(ps, grid), mk, 1.0)
 
 
 class TestSortedLayout:
@@ -345,14 +363,14 @@ class TestSortedLayout:
         assert np.all(np.diff(idx) >= 0)
         again, cells = sort_by_cell(ps, grid)
         assert again is ps
-        assert np.array_equal(cells.key, idx)
+        assert np.array_equal(cells.counts, np.bincount(idx, minlength=grid.Nx))
         shuf, perm = self.shuffled(ps)
         back, cells = sort_by_cell(shuf, grid)
         # stable: within a cell the shuffled order is kept
         order = np.argsort(grid.cell_index(shuf.x), kind="stable")
         assert np.array_equal(back.w, shuf.w[order])
         # the grouping describes the sorted set
-        assert np.array_equal(cells.key, grid.cell_index(back.x))
+        assert np.array_equal(np.repeat(np.arange(grid.Nx), cells.counts), grid.cell_index(back.x))
 
     def test_passed_grouping_gives_same_answers(self):
         # handed no grouping, deposit and cell_sums sort the set first: the
@@ -393,8 +411,8 @@ class TestSortedLayout:
         shuf, perm = self.shuffled(ps)
         perm = perm[np.argsort(grid.cell_index(shuf.x), kind="stable")]
         shuf, cells = sort_by_cell(shuf, grid)
-        a, skipped_a = match(ps, grid, mk, 1.0, Cells(grid, ps.x))[:2]
-        b, skipped_b = match(shuf, grid, mk, 1.0, cells)[:2]
+        a, skipped_a = match_to(ps, grid, mk, grouping(ps, grid))[:2]
+        b, skipped_b = match_to(shuf, grid, mk, cells)[:2]
         # cells holding one or two particles cannot be solved and are counted
         assert skipped_a == skipped_b == (2 if Nx > 1 else 0)
         assert np.array_equal(b.x, shuf.x) and np.array_equal(b.v, shuf.v)
@@ -433,26 +451,25 @@ class TestOneCellGrouping:
         grid = GridSpec(Lx=2.0, Nx=1, Nv=16)
         # in range, -0.0, at Lx, negative, several periods out and NaN
         x = np.array([0.5, -0.0, 0.0, 2.0, -0.25, 7.5, -40.0, np.nextafter(2.0, 0.0), np.nan])
-        cells = Cells(grid, x)
+        ps = ParticleSet(x=x, v=np.linspace(-1.0, 1.0, x.size), w=np.arange(x.size, dtype=float))
+        again, cells = sort_by_cell(ps, grid)
+        assert again is ps
         assert cells.span == slice(0, 1)
         assert np.array_equal(cells.counts, [x.size])
-        assert cells.key.dtype == np.uint8 and cells.key.shape == x.shape and not cells.key.any()
-        # a passed key is not read either
-        assert np.array_equal(Cells(grid, x, key=np.arange(x.size)[::-1]).counts, [x.size])
-        ps = ParticleSet(x=x, v=np.linspace(-1.0, 1.0, x.size), w=np.arange(x.size, dtype=float))
-        again, grouped = sort_by_cell(ps, grid)
-        assert again is ps and np.array_equal(grouped.counts, [x.size])
         assert cells.sum(ps.w)[0] == np.add.reduceat(ps.w, [0])[0]
-        assert np.array_equal(Cells(grid, np.empty(0)).counts, [0])
+        empty = ParticleSet(x=np.empty(0), v=np.empty(0), w=np.empty(0))
+        assert np.array_equal(sort_by_cell(empty, grid)[1].counts, [0])
+        assert np.array_equal(sort_by_cell(empty, grid)[1].sum(empty.w), [0.0])
 
     @pytest.mark.parametrize("Nx", [1, 8])
     def test_one_cell_spreads_the_field_itself(self, Nx):
         # a one-cell grid, and a one-cell block of a multi-cell grid
         grid = GridSpec(Lx=float(Nx), Nx=Nx, Nv=16)
         x = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 50))  # all in cell 0
-        cells = Cells(grid, x)
-        if Nx > 1:
-            cells = cells._block(0, 1, 0, x.size)
+        # the grouping of the set, or of a block of cell 0 alone (`blocks`)
+        cells = Cells(np.array([x.size]), slice(0, 1))
+        if Nx == 1:
+            cells = grouping(ParticleSet(x=x, v=x, w=x), grid)
         f = cells.repeat(np.array([2.5]))
         assert f.shape == (1,) and f[0] == 2.5 and not f.flags.writeable
         assert cells.repeat(1.5).shape == (1,)
@@ -464,15 +481,6 @@ class TestGroupingPrecondition:
     """A grouping describes one set in cell order; anything else is refused,
     naming what is needed."""
 
-    def test_cells_rejects_a_set_out_of_cell_order(self):
-        grid = GridSpec(Lx=4.0, Nx=4, Nv=16)
-        x = np.array([0.5, 2.5, 1.5, 3.5])
-        with pytest.raises(ValueError, match="cell order"):
-            Cells(grid, x)
-        with pytest.raises(ValueError, match="cell order"):
-            Cells(grid, np.sort(x), key=np.array([0, 2, 1, 3], dtype=np.uint8))
-        assert np.array_equal(Cells(grid, np.sort(x)).counts, [1, 1, 1, 1])
-
     @pytest.mark.parametrize("Nx", [8, 1])
     def test_grouping_of_another_set_size_is_refused(self, Nx):
         # a 400-particle set with the grouping of a 300-particle one, and the
@@ -482,13 +490,13 @@ class TestGroupingPrecondition:
         small, small_cells = sorted_init(v4_remainder, grid, 300, seed=9)
         mk = SpeciesMoments(n=np.ones(Nx), u=np.zeros(Nx), T=np.full(Nx, 5.0))
         zero = lambda x, v: np.zeros_like(x)  # noqa: E731
-        for ps, cells in ((big, small_cells), (small, big_cells)):
+        for ps, own, cells in ((big, big_cells, small_cells), (small, small_cells, big_cells)):
             with pytest.raises(ValueError, match="does not fit a set of .*cell order"):
                 deposit(ps, grid, cells)
             with pytest.raises(ValueError, match="does not fit a set of .*cell order"):
                 update_weights(ps, zero, 1.0, 0.1, volume(grid, ps), cells)
             with pytest.raises(ValueError, match="does not fit a set of .*cell order"):
-                match(ps, grid, mk, 1.0, cells)
+                match(ps, grid, local_maxwellian(ps.v, own, mk, 1.0), cells)
         # each set with its own grouping is accepted
         assert np.array_equal(deposit(big, grid, big_cells), deposit(big, grid))
 
@@ -521,7 +529,7 @@ class TestAdaptiveMatch:
         grid, ps = self.cases()[case]
         ps, cells = sort_by_cell(ps, grid)
         n, u, T = np.full(grid.Nx, 1.1), np.full(grid.Nx, 0.2), np.full(grid.Nx, 1.3)
-        out, skipped = match(ps, grid, SpeciesMoments(n=n, u=u, T=T), 1.0, cells)[:2]
+        out, skipped = match_to(ps, grid, SpeciesMoments(n=n, u=u, T=T), cells)[:2]
         w_ref, skipped_ref = match_two_pass(grid.cell_index(ps.x), ps.v, ps.w, n, u, T)
         assert skipped == skipped_ref
         assert np.max(np.abs(out.w - w_ref)) <= 1e-13 * np.max(np.abs(ps.w))
@@ -531,8 +539,21 @@ class TestAdaptiveMatch:
         ps, cells = sort_by_cell(ps, grid)
         w0 = ps.w.copy()
         mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.ones(8))
-        out = match(ps, grid, mk, 1.0, cells, work=StepWorkspace())[0]
+        out = match_to(ps, grid, mk, cells, work=StepWorkspace())[0]
         assert np.array_equal(ps.w, w0) and not np.shares_memory(out.w, ps.w)
+
+    def test_weights_buffer_is_matched_in_place(self):
+        # as in the time step, where the weight update leaves its result in
+        # the workspace's "weights" buffer: the same bits, in that buffer
+        grid, ps = self.cases()["mixed-shuffled"]
+        ps, cells = sort_by_cell(ps, grid)
+        mk = SpeciesMoments(n=np.ones(8), u=np.zeros(8), T=np.ones(8))
+        want = match_to(ps, grid, mk, cells)[0].w
+        work = StepWorkspace()
+        buf = work.buffer("weights", ps.Np)
+        buf[:] = ps.w
+        out = match_to(ParticleSet(x=ps.x, v=ps.v, w=buf), grid, mk, cells, work=work)[0]
+        assert np.shares_memory(out.w, buf) and np.array_equal(out.w, want)
 
     def test_inexact_first_solve_is_refined_below_tolerance(self):
         # one cell whose particles sit at h1 = 0, 1, 6 and 7: the Maxwellian
@@ -557,7 +578,7 @@ class TestAdaptiveMatch:
         r, scale = residual_and_scale(w_once)
         assert np.any(r > 100.0 * MATCH_RTOL * scale)
 
-        out, skipped, residual, refined = match(ps, grid, mk, 1.0, Cells(grid, ps.x), work=StepWorkspace())
+        out, skipped, residual, refined = match_to(ps, grid, mk, grouping(ps, grid), work=StepWorkspace())
         assert skipped == 0 and refined == 1
         r, scale = residual_and_scale(out.w)
         assert np.all(r <= MATCH_RTOL * scale)

@@ -7,7 +7,7 @@ import pytest
 
 from kinmix.grids import GridSpec
 from kinmix.model import MixtureParams, SpeciesMoments, exchange_quantities, maxwellian, validate_params
-from kinmix.particles import Cells, ParticleSet, sort_by_cell
+from kinmix.particles import ParticleSet, sort_by_cell
 from kinmix.projection import bracket, eval_projection, hermite_gram, maxwellian_samples
 
 from oracles import (
@@ -280,7 +280,7 @@ class TestHermiteGram:
         u, th = 0.3, 1.4
         h1 = (v - u) / np.sqrt(th)
         M = gaussian(1.0, u, th, v)
-        G = hermite_gram(M, h1, Cells(grid, x).sum)
+        G = hermite_gram(M, h1, sort_by_cell(ParticleSet(x=x, v=v, w=M), grid)[1].sum)
         ref = hermite_gram_pairwise(M, h1, cell, grid.Nx)
         assert np.allclose(G, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
         assert not G[[0, 4]].any()
