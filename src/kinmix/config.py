@@ -204,8 +204,26 @@ def config_to_json(cfg: RunConfig) -> str:
 # presets
 
 def _v4_profile(v):
-    v2 = v * v  # squared twice: no libm pow for v^4
-    return v2 * v2 / (3.0 * np.sqrt(2.0 * np.pi)) * np.exp(-v2 / 2.0)
+    """v^4 exp(-v^2/2) / (3 sqrt(2 pi)), as an array, built in place in two
+    arrays of v's size (v^2 and the exponential)."""
+    v2 = np.array(v, dtype=float)
+    v2 *= v2  # squared twice: no libm pow for v^4
+    e = np.divide(v2, -2.0, out=np.empty_like(v2))
+    np.exp(e, out=e)
+    v2 *= v2
+    v2 /= 3.0 * np.sqrt(2.0 * np.pi)
+    v2 *= e
+    return v2
+
+
+def _cosine_amplitude(x, beta: float):
+    """1 + beta cos(x/2), as an array, built in place in one array of x's size."""
+    a = np.array(x, dtype=float)
+    a /= 2.0
+    np.cos(a, out=a)
+    a *= beta
+    a += 1.0
+    return a
 
 
 @dataclass
@@ -243,7 +261,7 @@ def build_initial_condition(cfg: RunConfig, p: MixtureParams) -> InitialConditio
     if cfg.preset == "cosine-perturbed":
         beta = cfg.beta
         T2 = 5.0 * mr2  # the v^4 profile has velocity variance 5
-        amp = lambda x: 1.0 + beta * np.cos(x / 2.0)
+        amp = lambda x: _cosine_amplitude(x, beta)
         mom1 = lambda x: SpeciesMoments(n=np.ones_like(x), u=np.full_like(x, 0.5), T=np.ones_like(x))
         mom2 = lambda x: SpeciesMoments(n=amp(x), u=np.zeros_like(x), T=np.full_like(x, T2))
         f1 = lambda x, v: maxwellian(SpeciesMoments(n=1.0, u=0.5, T=1.0), 1.0, v) * np.ones_like(x)

@@ -170,7 +170,8 @@ def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
     `work`.  The source's per-cell coefficients are built once on the whole
     grid; in each block the cell Maxwellian at its particles is evaluated
     once and shared by the source, the update and the matching, and the
-    matched weights are copied into one new array for the whole set.
+    matching writes the block's weights straight into its slice of one new
+    array for the whole set.
     Returns (matched set, skipped cells, largest post-match residual,
     re-solved cells)."""
     source_for, lam = _micro_source(sp, grid, flux_div, work)
@@ -182,9 +183,7 @@ def _relax_particles(sp: Relaxation, ps, cells, flux_div, grid, dt, work):
         mk = SpeciesMoments(n=sp.moments.n[span], u=sp.moments.u[span], T=sp.moments.T[span])
         loc = local_maxwellian(psb.v, cb, mk, sp.mr, work)
         psb = update_weights(psb, source_for(cb, loc), lam[span], dt, volume, cells=cb, work=work)
-        matched, *diag = match(psb, grid, loc, cb, idx=span.start + np.flatnonzero(cb.counts), work=work)
-        w[sl] = matched.w
-        diags.append(diag)
+        diags.append(match(psb, grid, loc, cb, idx=span.start + np.flatnonzero(cb.counts), work=work, out=w[sl])[1:])
     skipped, residual, refined = zip(*diags)
     return ParticleSet(x=ps.x, v=ps.v, w=w), sum(skipped), float(np.max(residual)), sum(refined)
 
@@ -261,24 +260,31 @@ def setup_simulation(cfg: RunConfig):
     return grid, p, SimState(macro=macro, ps1=ps1, ps2=ps2)
 
 
-def _reconstruct_f(sim: SimState, moments, p: MixtureParams, grid: GridSpec):
+def _particle_bins(ps: ParticleSet, grid: GridSpec) -> np.ndarray:
+    """Each particle's bin of the flattened (x, v-bin) histogram grid,
+    cell * Nv + velocity bin; on one cell that is the velocity bin, which
+    reads v alone.  Velocities outside the grid land in its edge bins."""
+    vi = ps.v + 0.5 * grid.Lv
+    vi /= grid.dv_bin
+    vi = vi.astype(np.int64)
+    np.clip(vi, 0, grid.Nv - 1, out=vi)
+    if grid.Nx == 1:
+        return vi
+    bins = grid.cell_index(ps.x)
+    bins *= grid.Nv
+    bins += vi
+    return bins
+
+
+def _reconstruct_f(sim: SimState, bins, moments, p: MixtureParams, grid: GridSpec):
     """f_k = Maxwellian(macro) + binned remainder on the (x, v-bin) grid;
-    `moments` holds both species' cell moments of the macro state.  On one
-    cell a particle's bin is its velocity bin."""
+    `bins` holds both species' `_particle_bins` of the particles of `sim`
+    and `moments` both species' cell moments of its macro state."""
     vb = grid.v_bin_centers
     out = []
-    for m, mr, ps in zip(moments, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
+    for m, mr, ps, b in zip(moments, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2), bins):
         f = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
-        vi = ps.v + 0.5 * grid.Lv
-        vi /= grid.dv_bin
-        vi = vi.astype(np.int64)
-        np.clip(vi, 0, grid.Nv - 1, out=vi)
-        bins = vi
-        if grid.Nx > 1:
-            bins = grid.cell_index(ps.x)
-            bins *= grid.Nv
-            bins += vi
-        H = np.bincount(bins, weights=ps.w, minlength=grid.Nx * grid.Nv)
+        H = np.bincount(b, weights=ps.w, minlength=grid.Nx * grid.Nv)
         H /= grid.dx * grid.dv_bin
         f += H.reshape(grid.Nx, grid.Nv)
         out.append(f)
@@ -323,6 +329,19 @@ def run(cfg: RunConfig) -> RunResult:
     times: list[float] = []
     snapshots: list[Snapshot] = []
     skipped = 0
+    # on one cell a particle's bin reads its velocity alone, and the step
+    # hands each species' v on as the same array: its bins are kept while
+    # the state's v is the array they were made from.  On many cells the
+    # bins also read x, which every step moves, so each record bins afresh
+    # and nothing is held between records.
+    held: dict[int, tuple] = {}
+
+    def particle_bins(k, ps):
+        if grid.Nx > 1:
+            return _particle_bins(ps, grid)
+        if k not in held or held[k][0] is not ps.v:
+            held[k] = (ps.v, _particle_bins(ps, grid))
+        return held[k][1]
 
     def record(s, t):
         if kinetic:
@@ -332,7 +351,8 @@ def run(cfg: RunConfig) -> RunResult:
             U1, U2 = s.macro.U1, s.macro.U2
         m1, m2 = moments_from_conserved(U1, 1.0), moments_from_conserved(U2, mr2)
         if not kinetic:
-            v, (f1, f2) = grid.v_bin_centers, _reconstruct_f(s, (m1, m2), p, grid)
+            bins = [particle_bins(k, ps) for k, ps in enumerate((s.ps1, s.ps2))]
+            v, (f1, f2) = grid.v_bin_centers, _reconstruct_f(s, bins, (m1, m2), p, grid)
         row = {
             "gap_u_inf": np.max(np.abs(m1.u - m2.u)),
             "gap_T_inf": np.max(np.abs(m1.T - m2.T)),

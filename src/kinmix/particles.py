@@ -38,12 +38,14 @@ sized by the block, not by the set.  Every function that takes a workspace
 (`work=`) also runs without one, and then allocates its buffers.  The step
 relaxes one block after the other, and one species after the other, through
 the same buffers, so one workspace serves both species and grows to the
-largest block; it copies each block's matched weights into the new state.
+largest block; each block's matching writes its weights straight into the
+new state's array (`match(..., out=)`).
 Buffers whose lifetimes do not overlap share storage:
 
     "h1", "M"    the cell Maxwellian at the particles (source, update, match)
     "source"     the micro source, then the matching correction
-    "weights"    the updated weights, matched in place
+    "weights"    the updated weights (matched in place only by a `match`
+                 given no `out`)
     "scratch"    the cross-Maxwellian term, then the gain times the source,
                  then the products that are summed
 """
@@ -228,16 +230,18 @@ def blocks(ps: ParticleSet, cells: Cells) -> list:
 
 
 def _weighted_sums(ps: ParticleSet, grid: GridSpec, rows: int, cells: Cells | None) -> np.ndarray:
-    """Per-cell sums of w v^j for j < rows, shape (rows, Nx), as `deposit`."""
+    """Per-cell sums of w v^j for j < rows, shape (rows, Nx), as `deposit`,
+    block by block (`blocks`), so the running product w v^j is block-sized."""
     if cells is None:
         ps, cells = sort_by_cell(ps, grid)
     cells.check(ps)
-    v, wk = ps.v, ps.w
     out = np.empty((rows, grid.Nx))
-    for j in range(rows):
-        out[j] = cells.sum(wk)
-        if j + 1 < rows:
-            wk = wk * v if j == 0 else np.multiply(wk, v, out=wk)
+    for _, psb, cb in blocks(ps, cells):
+        v, wk = psb.v, psb.w
+        for j in range(rows):
+            out[j, cb.span] = cb.sum(wk)
+            if j + 1 < rows:
+                wk = wk * v if j == 0 else np.multiply(wk, v, out=wk)
     return out
 
 
@@ -323,6 +327,7 @@ def match(
     cells: Cells,
     idx: np.ndarray | None = None,
     work: StepWorkspace | None = None,
+    out: np.ndarray | None = None,
 ):
     """Per-cell weight correction zeroing the discrete sums of m(v) of a set
     in cell order grouped by `cells`; `local` is the cell Maxwellian at its
@@ -342,9 +347,12 @@ def match(
 
     Returns (matched ParticleSet, number of cells skipped as unsolvable,
     largest post-match per-cell residual of a solved cell, number of
-    re-solved cells).  The matched weights are the workspace's "weights"
-    buffer, in place when ps.w is that buffer (a new array without `work`),
-    which the next weight update overwrites.
+    re-solved cells).  The matched weights are written into `out` when it
+    is given: ps.Np floats, ps.w itself or an array that does not overlap
+    it (the time step passes the block's slice of the new state's weights,
+    and ps.w is then left as it was).  Without `out` they are the
+    workspace's "weights" buffer, in place when ps.w is that buffer (a new
+    array without `work`), which the next weight update overwrites.
     """
     cells.check(ps)
     counts = cells.counts
@@ -368,7 +376,7 @@ def match(
     a = np.zeros((counts.size, 3))
     a[good] = np.linalg.solve(A[good], _hermite_sums(w, h1, cells.sum, tmp)[good][..., None])[..., 0]
     corr = eval_projection((a[:, 0] - a[:, 2], a[:, 1], a[:, 2]), h1, M, cells.repeat, work.buffer("source", w.size))
-    out = np.subtract(w, corr, out=work.buffer("weights", w.size))
+    out = np.subtract(w, corr, out=work.buffer("weights", w.size) if out is None else out)
 
     r, roundoff = _hermite_sums(out, h1, cells.sum, tmp, with_scale=True)
     refine = np.flatnonzero(good & np.any(np.abs(r) > MATCH_RTOL * roundoff, axis=1))

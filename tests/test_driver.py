@@ -39,14 +39,30 @@ def equilibrium_state(grid, p):
     return SimState(macro=macro, ps1=ps1, ps2=ps2)
 
 
+def rebinned_f(sim, bins, moments, p, grid):
+    """Reference `driver._reconstruct_f` that ignores `bins` and bins both
+    species afresh, by cell and velocity, at every call."""
+    from kinmix.model import maxwellian
+
+    vb, out = grid.v_bin_centers, []
+    for m, mr, ps in zip(moments, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
+        f = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
+        vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
+        H = np.bincount(grid.cell_index(ps.x) * grid.Nv + vi, weights=ps.w, minlength=grid.Nx * grid.Nv)
+        H /= grid.dx * grid.dv_bin
+        f += H.reshape(grid.Nx, grid.Nv)
+        out.append(f)
+    return out
+
+
 def restore_cell_bookkeeping(mp):
     """Patch (with the monkeypatch `mp`) the bookkeeping that a grouping of
     one cell skips back in: the step counts the particles of a one-cell grid
     by `GridSpec.cell_index` too, every grouping spreads its fields by
     `np.repeat`, the step's weight update multiplies the source into the
-    spread gain, and `driver._reconstruct_f` bins by cell and velocity."""
+    spread gain, and `driver._reconstruct_f` bins by cell and velocity at
+    every record (`rebinned_f`)."""
     import kinmix.driver as driver
-    from kinmix.model import maxwellian
 
     sort = driver.sort_by_cell
 
@@ -68,21 +84,10 @@ def restore_cell_bookkeeping(mp):
         w += gain
         return ParticleSet(x=ps.x, v=ps.v, w=w)
 
-    def reconstruct_f(sim, moments, p, grid):
-        vb, out = grid.v_bin_centers, []
-        for m, mr, ps in zip(moments, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
-            f = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
-            vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
-            H = np.bincount(grid.cell_index(ps.x) * grid.Nv + vi, weights=ps.w, minlength=grid.Nx * grid.Nv)
-            H /= grid.dx * grid.dv_bin
-            f += H.reshape(grid.Nx, grid.Nv)
-            out.append(f)
-        return out
-
     mp.setattr(driver, "sort_by_cell", sort_by_cell)
     mp.setattr(Cells, "repeat", repeat)
     mp.setattr(driver, "update_weights", update_weights)
-    mp.setattr(driver, "_reconstruct_f", reconstruct_f)
+    mp.setattr(driver, "_reconstruct_f", rebinned_f)
 
 
 def source_at(source_for, sp, grid, x, v):
@@ -384,6 +389,24 @@ class TestStep:
             for (a, da), (b, db) in zip(runs[0], other):
                 assert da == db
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_deposit_blocks_change_no_bit(self, monkeypatch):
+        # the deposit sums block by block; every split gives the sums of the
+        # whole set, in the moments v^j built up by one running product
+        import kinmix.particles as particles
+
+        grid, _, _, ps1, ps2 = self.block_case()
+        for ps in (ps1, ps2):
+            ps, cells = sort_by_cell(ps, grid)
+            whole, wk = [], ps.w
+            for _ in range(4):
+                whole.append(cells.sum(wk))
+                wk = wk * ps.v
+            whole = np.array(whole)
+            for limit in (1, 200, ps.Np):
+                monkeypatch.setattr(particles, "BLOCK", limit)
+                assert np.array_equal(particles.deposit(ps, grid, cells), whole / grid.dx)
+                assert np.array_equal(particles.cell_sums(ps, grid), whole[:3])
 
     @pytest.mark.parametrize("limit", [1, 200])
     def test_one_cell_blocks_match_cell_bookkeeping_bit_for_bit(self, monkeypatch, limit):
@@ -750,8 +773,45 @@ class TestRun:
             assert not np.shares_memory(snap.v, nodes)
         assert not np.shares_memory(a.x, b.x) and not np.shares_memory(a.v, b.v)
 
+    @pytest.mark.parametrize("mode, Nx, dt", [("homogeneous", 1, 1e-3), ("general", 1, 1e-3), ("general", 8, 1e-3),
+                                              ("general", 8, 1e-6)])
+    def test_records_bin_once_per_run_on_one_cell_and_per_record_on_many(self, monkeypatch, mode, Nx, dt):
+        # on one cell the step hands v on as the same array, so each
+        # species is binned at the first record only; on many cells at every
+        # record, also when no particle leaves its cell (dt = 1e-6), so that
+        # v stays the same array.  The series and snapshots are those of
+        # binning every record afresh (`rebinned_f`)
+        import kinmix.driver as driver
+
+        cfg = RunConfig(mode=mode, Nx=Nx, Nv=32, Np1=2000, Np2=1500, seed=3, dt=dt, t_end=4 * dt, output_every=1,
+                        eps1=0.05, epst1=0.05, eps2=0.05, epst2=0.05, preset="v4-maxwellian")
+        binned = []
+        bins = driver._particle_bins
+
+        def counted(ps, grid):
+            binned.append(ps)
+            return bins(ps, grid)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(driver, "_particle_bins", counted)
+            new = run(cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(driver, "_reconstruct_f", rebinned_f)
+            old = run(cfg)
+        assert len(new.snapshots) == 5
+        assert len(binned) == (2 if Nx == 1 else 2 * len(new.snapshots))
+        if Nx > 1 and dt < 1e-3:
+            # no particle leaves its cell: after the first step's sort, each v stays one array
+            assert len({id(ps.v) for ps in binned[2:]}) == 2
+        assert list(new.series) == list(old.series)
+        for key in new.series:
+            assert np.array_equal(new.series[key], old.series[key]), key
+        for a, b in zip(new.snapshots, old.snapshots):
+            assert np.array_equal(a.f1, b.f1) and np.array_equal(a.f2, b.f2)
+        assert np.abs(new.snapshots[-1].f1 - new.snapshots[0].f1).max() > 0.0
+
     def test_reconstructed_f_is_maxwellian_plus_histogram_bit_for_bit(self):
-        from kinmix.driver import _reconstruct_f
+        from kinmix.driver import _particle_bins, _reconstruct_f
         from kinmix.model import maxwellian
 
         # out-of-box velocities land in the edge bins
@@ -762,7 +822,8 @@ class TestRun:
         sim.ps2.v[:3] = [-10.0, 10.0, 0.5 * grid.Lv]
         vb = grid.v_bin_centers
         ms = moments_from_conserved(sim.macro.U1, 1.0), moments_from_conserved(sim.macro.U2, p.mass_ratio2)
-        for f, m, mr, ps in zip(_reconstruct_f(sim, ms, p, grid), ms, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
+        bins = [_particle_bins(ps, grid) for ps in (sim.ps1, sim.ps2)]
+        for f, m, mr, ps in zip(_reconstruct_f(sim, bins, ms, p, grid), ms, (1.0, p.mass_ratio2), (sim.ps1, sim.ps2)):
             M = maxwellian(SpeciesMoments(n=m.n[:, None], u=m.u[:, None], T=m.T[:, None]), mr, vb[None, :])
             vi = np.clip(((ps.v + 0.5 * grid.Lv) / grid.dv_bin).astype(np.int64), 0, grid.Nv - 1)
             ci = np.floor(ps.x / grid.dx).astype(np.int64) % grid.Nx

@@ -33,20 +33,28 @@ def test_cell_index_periodic_for_any_position():
 
 
 def test_cell_index_at_edges_matches_floor_mod():
-    grid = GridSpec(Lx=4 * np.pi, Nx=16)
-    edges = np.arange(grid.Nx + 1) * grid.dx
-    x = np.concatenate([
-        [-0.0, 0.0, np.nextafter(grid.Lx, 0.0), grid.Lx, np.nextafter(grid.Lx, np.inf), 2.5 * grid.Lx],
-        [-5e-17, -grid.dx, -grid.Lx, -1e-300],
-        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
-    ])
-    want = np.mod(np.floor(x / grid.dx), grid.Nx).astype(np.intp)
-    assert np.array_equal(grid.cell_index(x), want)
-    # in-range input needs no modulo; it must agree element by element
-    inside = x[(x / grid.dx >= 0) & (x / grid.dx < grid.Nx)]
-    assert np.array_equal(grid.cell_index(inside), np.floor(inside / grid.dx).astype(np.intp))
-    assert grid.cell_index(np.array([-0.0]))[0] == 0
-    assert grid.cell_index(np.array([np.nextafter(grid.Lx, 0.0)]))[0] == grid.Nx - 1
+    # an array inside [0, Lx) divides straight into the cell index, any
+    # other takes floor and mod: both give np.mod(np.floor(x / dx), Nx) bit
+    # for bit, each edge value alone and among others.  On Lx = 1.171,
+    # Nx = 257, nextafter(Lx, 0) / dx rounds up to Nx, so that cell is 0.
+    for Nx in (1, 16, 255, 256, 257):
+        for Lx in (4 * np.pi, 1.171):
+            grid = GridSpec(Lx=Lx, Nx=Nx)
+            rounds_up = np.nextafter(Lx, 0.0) / grid.dx == Nx
+            assert rounds_up == (Nx == 257 and Lx == 1.171)
+            edges = np.arange(grid.Nx + 1) * grid.dx
+            x = np.concatenate([
+                [-0.0, 0.0, np.nextafter(Lx, 0.0), Lx, np.nextafter(Lx, np.inf), 2.0 * Lx, 2.5 * Lx, 7.0 * Lx],
+                [-5e-17, -grid.dx, -Lx, -1e-300, -2.5 * Lx],
+                edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+            ])
+            inside = np.random.default_rng(Nx).uniform(0.0, Lx, 2000)
+            for xs in [x, inside, np.concatenate([inside, x]), *x[:, None]]:
+                got = grid.cell_index(xs)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, np.mod(np.floor(xs / grid.dx), Nx).astype(np.intp))
+            assert grid.cell_index(np.array([-0.0]))[0] == 0
+            assert grid.cell_index(np.array([np.nextafter(Lx, 0.0)]))[0] == (0 if rounds_up else Nx - 1)
 
 
 def test_node_arrays_cached_read_only_and_equal_to_their_formulas():

@@ -555,6 +555,32 @@ class TestAdaptiveMatch:
         out = match_to(ParticleSet(x=ps.x, v=ps.v, w=buf), grid, mk, cells, work=work)[0]
         assert np.shares_memory(out.w, buf) and np.array_equal(out.w, want)
 
+    @pytest.mark.parametrize("case", ["mixed", "one-cell", "undersampled", "refined"])
+    def test_out_gets_the_default_bits_and_input_stays(self, case):
+        # as in the time step, which passes the block's slice of the new
+        # weights: the bits and diagnostics of the default path, written
+        # into `out` alone, with ps.w unchanged ("refined" is the set of
+        # the test below, whose cell is solved twice)
+        if case == "refined":
+            grid = GridSpec(Lx=1.0, Nx=1, Lv=20.0, Nv=8)
+            w = np.random.default_rng(2).normal(size=4)
+            ps, cells = sort_by_cell(ParticleSet(x=np.full(4, 0.5), v=np.array([0.0, 1.0, 6.0, 7.0]), w=w), grid)
+            mk = SpeciesMoments(n=np.ones(1), u=np.zeros(1), T=np.ones(1))
+        else:
+            grid, ps = self.cases()[case]
+            ps, cells = sort_by_cell(ps, grid)
+            mk = SpeciesMoments(n=np.full(grid.Nx, 1.1), u=np.full(grid.Nx, 0.2), T=np.full(grid.Nx, 1.3))
+        want = match_to(ps, grid, mk, cells, work=StepWorkspace())
+        assert case != "refined" or want[3] == 1
+        w0 = ps.w.copy()
+        new = np.full(ps.Np + 2, np.nan)
+        work = StepWorkspace()
+        got = match(ps, grid, local_maxwellian(ps.v, cells, mk, 1.0, work), cells, work=work, out=new[1:-1])
+        assert np.shares_memory(got[0].w, new) and np.array_equal(got[0].w, want[0].w)
+        assert np.array_equal(new[1:-1], want[0].w) and np.isnan(new[[0, -1]]).all()
+        assert got[1:] == want[1:]
+        assert np.array_equal(ps.w, w0)
+
     def test_inexact_first_solve_is_refined_below_tolerance(self):
         # one cell whose particles sit at h1 = 0, 1, 6 and 7: the Maxwellian
         # weights span e^-24, the Gram matrix is ill-conditioned (but above
