@@ -1,9 +1,11 @@
 """Run configuration, experiment presets and file output.
 
 Configs are JSON with nested blocks (domain/particles/time/mixture/knudsen/
-init); unknown keys are rejected and every physics parameter goes through
-the model validator.  Outputs are plain CSV written atomically
-(write-then-rename), floats at 17 significant digits.
+init); unknown keys are rejected, every physics parameter goes through the
+model validator and t_end through the run clock's rule (`grids.step_count`).
+A preset's species are uniform Maxwellians or an amplitude in x times the
+v^4 profile.  Outputs are plain CSV written atomically (write-then-rename),
+floats at 17 significant digits.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import GridSpec, step_count
 from .model import MixtureParams, SpeciesMoments, maxwellian, validate_params
 
 
@@ -165,11 +167,10 @@ def _validate_fields(cfg: RunConfig) -> None:
         val = getattr(cfg, name)
         if val is not None and not val > 0:
             raise ConfigError(f"field '{name}' must be a number > 0, got {val!r}")
-    steps = cfg.t_end / cfg.dt
-    if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
-        raise ConfigError(
-            f"field 't_end' must be a whole number (>= 1) of dt steps, got t_end={cfg.t_end!r}, dt={cfg.dt!r}"
-        )
+    try:
+        step_count(cfg.dt, cfg.t_end)  # t_end > 0 here, so at least 1 step
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     for name, low in (("Nx", 1), ("Nv", 2), ("Np1", 1), ("Np2", 1), ("output_every", 1), ("seed", 0)):
         val = getattr(cfg, name)
         if isinstance(val, bool) or not isinstance(val, int) or val < low:
@@ -236,43 +237,40 @@ class InitialCondition:
     g2: callable
 
 
+def _uniform_maxwellian(n: float, u: float, T: float, mr: float):
+    """(moments, f, remainder) of a species that is the Maxwellian (n, u, T)
+    at every x: its remainder is zero."""
+    mom = lambda x: SpeciesMoments(n=np.full_like(x, n), u=np.full_like(x, u), T=np.full_like(x, T))
+    f = lambda x, v: maxwellian(SpeciesMoments(n=n, u=u, T=T), mr, v) * np.ones_like(x)
+    zero = lambda x, v: np.zeros(np.broadcast(x, v).shape)
+    return mom, f, zero
+
+
+def _v4_species(amp, mr: float):
+    """(moments, f, remainder) of the species amp(x) times the v^4 profile,
+    whose velocity variance is 5, so T = 5 mr."""
+    T = 5.0 * mr
+    mom = lambda x: SpeciesMoments(n=amp(x), u=np.zeros_like(x), T=np.full_like(x, T))
+    f = lambda x, v: amp(x) * _v4_profile(v)
+    g = lambda x, v: amp(x) * (_v4_profile(v) - maxwellian(SpeciesMoments(n=1.0, u=0.0, T=T), mr, v))
+    return mom, f, g
+
+
 def build_initial_condition(cfg: RunConfig, p: MixtureParams) -> InitialCondition:
     mr2 = p.mass_ratio2
+    T2 = 0.1 if cfg.T2 is None else cfg.T2
     if cfg.preset == "maxwellian-maxwellian":
-        T1 = 1.0 if cfg.T1 is None else cfg.T1
-        T2 = 0.1 if cfg.T2 is None else cfg.T2
-        mom1 = lambda x: SpeciesMoments(n=np.ones_like(x), u=np.full_like(x, 0.5), T=np.full_like(x, T1))
-        mom2 = lambda x: SpeciesMoments(n=np.full_like(x, 1.2), u=np.full_like(x, 0.1), T=np.full_like(x, T2))
-        f1 = lambda x, v: maxwellian(SpeciesMoments(n=1.0, u=0.5, T=T1), 1.0, v) * np.ones_like(x)
-        f2 = lambda x, v: maxwellian(SpeciesMoments(n=1.2, u=0.1, T=T2), mr2, v) * np.ones_like(x)
-        zero = lambda x, v: np.zeros(np.broadcast(x, v).shape)
-        return InitialCondition(mom1, mom2, f1, f2, zero, zero)
-
-    if cfg.preset == "v4-maxwellian":
-        T2 = 0.1 if cfg.T2 is None else cfg.T2
-        mom1 = lambda x: SpeciesMoments(n=np.ones_like(x), u=np.zeros_like(x), T=np.full_like(x, 5.0))
-        mom2 = lambda x: SpeciesMoments(n=np.full_like(x, 1.2), u=np.full_like(x, 0.1), T=np.full_like(x, T2))
-        f1 = lambda x, v: _v4_profile(v) * np.ones_like(x)
-        f2 = lambda x, v: maxwellian(SpeciesMoments(n=1.2, u=0.1, T=T2), mr2, v) * np.ones_like(x)
-        g1 = lambda x, v: (_v4_profile(v) - maxwellian(SpeciesMoments(n=1.0, u=0.0, T=5.0), 1.0, v)) * np.ones_like(x)
-        zero = lambda x, v: np.zeros(np.broadcast(x, v).shape)
-        return InitialCondition(mom1, mom2, f1, f2, g1, zero)
-
-    if cfg.preset == "cosine-perturbed":
+        s1 = _uniform_maxwellian(1.0, 0.5, 1.0 if cfg.T1 is None else cfg.T1, 1.0)
+        s2 = _uniform_maxwellian(1.2, 0.1, T2, mr2)
+    elif cfg.preset == "v4-maxwellian":
+        s1, s2 = _v4_species(np.ones_like, 1.0), _uniform_maxwellian(1.2, 0.1, T2, mr2)
+    elif cfg.preset == "cosine-perturbed":
         beta = cfg.beta
-        T2 = 5.0 * mr2  # the v^4 profile has velocity variance 5
-        amp = lambda x: _cosine_amplitude(x, beta)
-        mom1 = lambda x: SpeciesMoments(n=np.ones_like(x), u=np.full_like(x, 0.5), T=np.ones_like(x))
-        mom2 = lambda x: SpeciesMoments(n=amp(x), u=np.zeros_like(x), T=np.full_like(x, T2))
-        f1 = lambda x, v: maxwellian(SpeciesMoments(n=1.0, u=0.5, T=1.0), 1.0, v) * np.ones_like(x)
-        f2 = lambda x, v: amp(x) * _v4_profile(v)
-        zero = lambda x, v: np.zeros(np.broadcast(x, v).shape)
-        g2 = lambda x, v: amp(x) * (
-            _v4_profile(v) - maxwellian(SpeciesMoments(n=1.0, u=0.0, T=T2), mr2, v)
-        )
-        return InitialCondition(mom1, mom2, f1, f2, zero, g2)
-
-    raise ConfigError(f"unknown preset '{cfg.preset}'")
+        s1, s2 = _uniform_maxwellian(1.0, 0.5, 1.0, 1.0), _v4_species(lambda x: _cosine_amplitude(x, beta), mr2)
+    else:
+        raise ConfigError(f"unknown preset '{cfg.preset}'")
+    (mom1, f1, g1), (mom2, f2, g2) = s1, s2
+    return InitialCondition(mom1, mom2, f1, f2, g1, g2)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Micro-macro time stepping, and the one run loop of every mode.
+"""Micro-macro time stepping, and `run`, which runs every mode.
 
 `run` sets up the configured state, steps it (the micro-macro `step`, or
-`reference.dvm_step` in reference mode) and records the time series and
-snapshots at one cadence, at times k dt for the recorded step numbers k.
+`reference.dvm_step` in reference mode) on the package's one run clock
+(`grids.run_clock`) and records the time series and snapshots at the
+clock's cadence and times: k dt for the recorded step numbers k, and t_end
+itself after the last step.
 
 One step, the same in every micro-macro mode, in this fixed order: push
 particles and sort them back into cell order, deposit and differentiate the
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, build_initial_condition, mixture_params
-from .grids import GridSpec, StepWorkspace, step_workspace
-from .homogeneous import analytic_temperature_gap, analytic_velocity_gap
+from .grids import GridSpec, StepWorkspace, run_clock, step_workspace
+from .homogeneous import analytic_temperature_gap, analytic_velocity_gap, relative_entropy
 from .macrofv import MacroState, conserved_from_moments, fv_step, moments_from_conserved
 from .model import MixtureParams, Relaxation, SpeciesMoments, exchange_quantities, maxwellian, relaxations
 from .particles import (
@@ -291,34 +293,19 @@ def _reconstruct_f(sim: SimState, bins, moments, p: MixtureParams, grid: GridSpe
     return out
 
 
-def _entropy_diagnostic(fs, moments, p: MixtureParams, grid: GridSpec) -> float:
-    """H(f1|M1) + H(f2|M2) of the reconstructed distributions `fs` against
-    the Maxwellians of their cell `moments`, averaged over the cells (the
-    homogeneous mode it serves has one).  Histogram noise can undershoot
-    zero; such bins are clipped (diagnostic only)."""
-    vb = grid.v_bin_centers
-    total = 0.0
-    for f, m, mr in zip(fs, moments, (1.0, p.mass_ratio2)):
-        th = (m.T / mr)[:, None]
-        lnM = np.log(m.n)[:, None] - 0.5 * np.log(2.0 * np.pi * th) - ((vb - m.u[:, None]) ** 2) / (2.0 * th)
-        f = np.clip(f, 0.0, None)
-        pos = f > 0
-        total += float(np.sum(grid.dv_bin * f[pos] * (np.log(f[pos]) - lnM[pos]))) / grid.Nx
-    return total
-
-
 def run(cfg: RunConfig) -> RunResult:
     """Run the configured simulation and collect time series + snapshots.
 
     The reference mode steps the discrete-velocity solver and records its
     grid moments and f itself; the micro-macro modes step `step` and record
     the macro moments, the summed |weights| and the reconstructed f, and the
-    homogeneous mode adds the closed-form decay laws and the entropy."""
+    homogeneous mode adds the closed-form decay laws and the entropy
+    H(f1|M1) + H(f2|M2) of the reconstructed f, clipped at 0, against the
+    Maxwellians of the macro moments (`homogeneous.relative_entropy`)."""
     grid, p, state = setup_simulation(cfg)
     kinetic = cfg.mode == "reference"
     homogeneous = cfg.mode == "homogeneous"
     mr2, dx = p.mass_ratio2, grid.dx
-    nsteps = int(round(cfg.t_end / cfg.dt))
 
     if homogeneous:
         m1_0 = moments_from_conserved(state.macro.U1, 1.0)
@@ -326,7 +313,6 @@ def run(cfg: RunConfig) -> RunResult:
         u1, u2, T1, T2, n1, n2 = (float(np.mean(a)) for a in (m1_0.u, m2_0.u, m1_0.T, m2_0.T, m1_0.n, m2_0.n))
 
     series: dict[str, list] = {}  # columns in the order the first record adds them
-    times: list[float] = []
     snapshots: list[Snapshot] = []
     skipped = 0
     # on one cell a particle's bin reads its velocity alone, and the step
@@ -368,28 +354,32 @@ def run(cfg: RunConfig) -> RunResult:
         if homogeneous:
             row["analytic_gap_u_sq"] = analytic_velocity_gap(t, u1, u2, p, n1, n2)
             row["analytic_gap_T"] = analytic_temperature_gap(t, u1, u2, T1, T2, p, n1, n2)
-            row["entropy"] = _entropy_diagnostic((f1, f2), (m1, m2), p, grid)
-        times.append(t)
+            # averaged over the cells (the mode has one); histogram noise can undershoot zero, so f is clipped
+            vb, dv = grid.v_bin_centers, grid.dv_bin
+            row["entropy"] = sum(
+                relative_entropy(np.clip(f[i], 0.0, None), SpeciesMoments(m.n[i], m.u[i], m.T[i]), mr, vb, dv)
+                for f, m, mr in ((f1, m1, 1.0), (f2, m2, mr2)) for i in range(grid.Nx)
+            ) / grid.Nx
         for key, val in row.items():
             series.setdefault(key, []).append(float(val))
         snapshots.append(Snapshot(t=t, x=grid.x_centers.copy(), v=v.copy(), f1=f1, f2=f2))
 
-    record(state, 0.0)
-    for k in range(nsteps):
-        try:
-            if kinetic:
-                state = reference.dvm_step(state, p, cfg.dt)
-            else:
-                state, diag = step(state, p, grid, cfg.dt)
-                skipped += diag.skipped_cells
-        except Exception as e:
-            raise RuntimeError(f"run aborted at step {k + 1}/{nsteps} (t={k * cfg.dt:.6g}): {e}") from e
-        if (k + 1) % cfg.output_every == 0 or k == nsteps - 1:
-            record(state, (k + 1) * cfg.dt)
+    def advance(s):
+        nonlocal skipped
+        if kinetic:
+            return reference.dvm_step(s, p, cfg.dt)
+        s, diag = step(s, p, grid, cfg.dt)
+        skipped += diag.skipped_cells
+        return s
+
+    # the record's particle-length temporaries (the bins) die with its call
+    for t, state, recorded in run_clock(state, advance, cfg.dt, cfg.t_end, cfg.output_every):
+        if recorded:
+            record(state, t)
 
     return RunResult(
         mode=cfg.mode,
-        times=np.array(times),
+        times=np.array([snap.t for snap in snapshots]),
         series={k: np.array(val) for k, val in series.items()},
         snapshots=snapshots,
         grid=grid,

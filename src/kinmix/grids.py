@@ -1,6 +1,7 @@
 """Phase-space grids: periodic spatial cells and a velocity grid for
 quadrature, the discrete-velocity reference solver and particle histograms,
-and the work buffers that a time step keeps across steps.
+the work buffers that a time step keeps across steps, and the one run clock
+of every trajectory (`step_count`, `run_clock`).
 
 A `GridSpec` computes each of its node arrays once, on first use, and hands
 out that one read-only array afterwards: a caller that needs to change one
@@ -9,6 +10,7 @@ works on a copy.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,3 +133,32 @@ class StepWorkspace:
 def step_workspace(work: StepWorkspace | None) -> StepWorkspace:
     """`work`, or a fresh workspace (whose buffers are then new arrays)."""
     return StepWorkspace() if work is None else work
+
+
+def step_count(dt: float, t_end: float) -> int:
+    """The number of dt steps in t_end, which must be whole to a relative
+    1e-9 and at least 1, or 0 when t_end is 0; ValueError naming t_end
+    otherwise."""
+    steps = t_end / dt if dt > 0 else math.nan
+    n = round(steps) if math.isfinite(steps) else -1
+    if not ((n >= 1 or t_end == 0) and abs(steps - n) <= 1e-9 * steps):
+        raise ValueError(f"t_end must be a whole number (>= 1) of dt steps, got t_end={t_end!r}, dt={dt!r}")
+    return n
+
+
+def run_clock(state, advance: Callable, dt: float, t_end: float, output_every: int) -> Iterator[tuple]:
+    """Step `state` to t_end with `advance` (state -> next state), yielding
+    (t, state, recorded) for the initial state and after each step.  t is
+    k dt after step k, except after the last step, where it is t_end itself;
+    `recorded` marks the initial state, every output_every-th step and the
+    last.  A step that raises ends the run with RuntimeError naming it."""
+    nsteps = step_count(dt, t_end)
+    if not output_every >= 1:
+        raise ValueError(f"output_every must be an integer >= 1, got {output_every!r}")
+    yield 0.0, state, True
+    for k in range(1, nsteps + 1):
+        try:
+            state = advance(state)
+        except Exception as e:
+            raise RuntimeError(f"run aborted at step {k}/{nsteps} (t={(k - 1) * dt:.6g}): {e}") from e
+        yield (t_end if k == nsteps else k * dt), state, k % output_every == 0 or k == nsteps

@@ -10,7 +10,9 @@ solvers step that law exactly (`macrofv.exchange_map`); the sub-stepped RK4
 integration of the ODEs here (`moment_ode_step`, `moment_ode_run`) is the
 independent check of it.  The kinetic integrator is the discrete-velocity
 reference solver on one cell (`reference.dvm_step` with Nx=1), recording the
-moments, L1 gaps and relative entropies along the way.
+moments, L1 gaps and relative entropies along the way.  Both trajectories
+run on the package's one run clock (`grids.run_clock`), and
+`relative_entropy`, on any quadrature, is the one H(f|M) of the package.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import GridSpec, run_clock
 from .macrofv import DecayConstants, decay_constants, exchange_increment, relaxation_substeps, two_rate
 from .model import MixtureParams, SpeciesMoments, maxwellian
 from .reference import GridDistribution, cellwise_moments, dvm_step
@@ -50,14 +52,8 @@ def moment_ode_step(u1, u2, T1, T2, p: MixtureParams, n1: float, n2: float, dt: 
 
 def moment_ode_run(u1, u2, T1, T2, p: MixtureParams, n1, n2, dt, t_end, output_every=1):
     """RK4 trajectory; returns (times, u1, u2, T1, T2) arrays."""
-    nsteps = int(round(t_end / dt))
-    rec = [(0.0, u1, u2, T1, T2)]
-    for k in range(nsteps):
-        u1, u2, T1, T2 = moment_ode_step(u1, u2, T1, T2, p, n1, n2, dt)
-        t = (k + 1) * dt
-        if (k + 1) % output_every == 0 or k == nsteps - 1:
-            rec.append((t, u1, u2, T1, T2))
-    cols = np.array(rec).T
+    clock = run_clock((u1, u2, T1, T2), lambda y: moment_ode_step(*y, p, n1, n2, dt), dt, t_end, output_every)
+    cols = np.array([(t, *y) for t, y, recorded in clock if recorded]).T
     return cols[0], cols[1], cols[2], cols[3], cols[4]
 
 
@@ -76,8 +72,10 @@ def analytic_temperature_gap(t, u1_0, u2_0, T1_0, T2_0, p: MixtureParams, n1, n2
 
 # --- velocity-grid diagnostics -------------------------------------------
 
-def relative_entropy(f: np.ndarray, M: SpeciesMoments, mass_ratio: float, grid: GridSpec) -> float:
-    """H(f|M) = int f ln(f/M) dv by trapezoid, with 0 ln 0 := 0.
+def relative_entropy(f: np.ndarray, M: SpeciesMoments, mass_ratio: float, v: np.ndarray, w) -> float:
+    """H(f|M) = int f ln(f/M) dv by the quadrature sum(w f ln(f/M)) on the
+    nodes v, with weights w (an array, or one weight for every node) and
+    0 ln 0 := 0.
 
     ln M is evaluated analytically so far-tail underflow of M cannot
     produce spurious infinities where f is still positive.
@@ -89,12 +87,11 @@ def relative_entropy(f: np.ndarray, M: SpeciesMoments, mass_ratio: float, grid: 
     th = M.T / mass_ratio
     if not th > 0:
         raise ValueError("relative_entropy requires T > 0")
-    v = grid.v_nodes
     lnM = np.log(M.n) - 0.5 * np.log(2.0 * np.pi * th) - ((v - M.u) ** 2) / (2.0 * th)
     out = np.zeros_like(f)
     pos = f > 0
     out[pos] = f[pos] * (np.log(f[pos]) - lnM[pos])
-    return float(np.sum(grid.v_weights * out))
+    return float(np.sum(w * out))
 
 
 def l1_gap(f: np.ndarray, M: SpeciesMoments, mass_ratio: float, grid: GridSpec) -> float:
@@ -136,36 +133,19 @@ def kinetic_homogeneous_run(
     mr2 = p.mass_ratio2
     grid = replace(grid, Nx=1)
     state = GridDistribution(f1=np.array(f1, dtype=float)[None, :], f2=np.array(f2, dtype=float)[None, :], grid=grid)
-    nsteps = int(round(t_end / dt))
+    clock = run_clock(state, lambda s: dvm_step(s, p, dt), dt, t_end, output_every)
 
-    rows = []
-    per_step = []
-
-    def moments():
-        return cellwise_moments(state.f1[0], grid, 1.0), cellwise_moments(state.f2[0], grid, mr2)
-
-    def entropies(m1, m2):
-        return relative_entropy(state.f1[0], m1, 1.0, grid), relative_entropy(state.f2[0], m2, mr2, grid)
-
-    def record(t):
-        m1, m2 = moments()
-        rows.append(
-            (
-                t,
-                m1.n, m1.u, m1.T, m2.n, m2.u, m2.T,
-                l1_gap(state.f1[0], m1, 1.0, grid),
-                l1_gap(state.f2[0], m2, mr2, grid),
-                *entropies(m1, m2),
-            )
-        )
-
-    record(0.0)
-    for k in range(nsteps):
-        state = dvm_step(state, p, dt)
-        t = (k + 1) * dt
-        per_step.append((t, sum(entropies(*moments()))))
-        if (k + 1) % output_every == 0 or k == nsteps - 1:
-            record(t)
+    rows, per_step = [], []
+    for k, (t, state, recorded) in enumerate(clock):
+        f1, f2 = state.f1[0], state.f2[0]
+        m1, m2 = cellwise_moments(f1, grid, 1.0), cellwise_moments(f2, grid, mr2)
+        H1 = relative_entropy(f1, m1, 1.0, grid.v_nodes, grid.v_weights)
+        H2 = relative_entropy(f2, m2, mr2, grid.v_nodes, grid.v_weights)
+        if k:
+            per_step.append((t, H1 + H2))
+        if recorded:
+            l1 = l1_gap(f1, m1, 1.0, grid), l1_gap(f2, m2, mr2, grid)
+            rows.append((t, m1.n, m1.u, m1.T, m2.n, m2.u, m2.T, *l1, H1, H2))
 
     cols = np.array(rows).T
     return HomogeneousTrajectory(
@@ -175,5 +155,5 @@ def kinetic_homogeneous_run(
         l1_gap1=cols[7], l1_gap2=cols[8],
         entropy1=cols[9], entropy2=cols[10],
         entropy_per_step=per_step,
-        f1=state.f1[0], f2=state.f2[0],
+        f1=f1, f2=f2,
     )

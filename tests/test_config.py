@@ -208,6 +208,24 @@ class TestPresets:
         assert ic.moments1(x).T[0] == 0.08
         assert ic.moments2(x).T[0] == 5.0
 
+    def test_overridden_maxwellian_preset_matches_its_formulas_bit_for_bit(self):
+        # no benchmark workload runs this preset with overrides, so every callable is pinned here
+        T1, T2 = 0.7, 0.3
+        cfg = RunConfig(preset="maxwellian-maxwellian", T1=T1, T2=T2, m2=1.5)
+        ic = build_initial_condition(cfg, mixture_params(cfg))
+        x = np.linspace(0.0, 4.0, 7)
+        X, V = x[:, None], np.linspace(-10.0, 10.0, 33)[None, :]
+        for got, (n, u, T) in zip((ic.moments1(x), ic.moments2(x)), ((1.0, 0.5, T1), (1.2, 0.1, T2))):
+            for a, val in ((got.n, n), (got.u, u), (got.T, T)):
+                assert a.shape == x.shape and np.array_equal(a, np.full_like(x, val))
+        M1 = maxwellian(SpeciesMoments(n=1.0, u=0.5, T=T1), 1.0, V) * np.ones_like(X)
+        M2 = maxwellian(SpeciesMoments(n=1.2, u=0.1, T=T2), 1.5, V) * np.ones_like(X)
+        assert np.array_equal(ic.f1(X, V), M1) and np.array_equal(ic.f2(X, V), M2)
+        zero = np.zeros((x.size, V.size))
+        for g in (ic.g1, ic.g2):
+            got = g(X, V)
+            assert got.shape == zero.shape and np.array_equal(got, zero)
+
     def test_v4_preset_moments_by_quadrature(self):
         cfg = RunConfig(preset="v4-maxwellian")
         ic = build_initial_condition(cfg, mixture_params(cfg))

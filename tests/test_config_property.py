@@ -6,10 +6,12 @@ import json
 import math
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+import pytest
 
 from kinmix.config import PRESETS, ConfigError, config_to_json, parse_config
 from kinmix.driver import run
+from kinmix.grids import step_count
 from kinmix.model import MixtureParams, ParameterError
 
 # block of each drawn field; a rejection must name one of them (or the mode/preset)
@@ -70,3 +72,34 @@ def test_random_config_parses_and_steps_or_is_rejected_naming_a_field(doc):
     assert parse_config(config_to_json(cfg)) == cfg
     result = run(cfg)
     assert len(result.times) == 2
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def time_pairs(draw):
+    """(dt, t_end), both finite and > 0: any two, or t_end a product n dt."""
+    dt = draw(positive)
+    t_end = draw(positive) if draw(st.booleans()) else dt * draw(st.integers(1, 10**6))
+    assume(t_end < math.inf)
+    return dt, t_end
+
+
+@given(time_pairs())
+@settings(max_examples=200, deadline=None)
+def test_config_admits_a_time_pair_exactly_when_the_run_clock_does(pair):
+    dt, t_end = pair
+    try:
+        step_count(dt, t_end)
+    except ValueError:
+        admitted = False
+    else:
+        admitted = True
+    text = json.dumps({"mode": "general", "domain": {"Nx": 4, "Nv": 64}, "time": {"dt": dt, "t_end": t_end},
+                       "knudsen": {"eps1": 1.0, "epst1": 1.0, "eps2": 1.0, "epst2": 1.0}})
+    if admitted:
+        assert parse_config(text).t_end == t_end
+    else:
+        with pytest.raises(ConfigError, match="t_end"):
+            parse_config(text)

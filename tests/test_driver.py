@@ -5,7 +5,7 @@ import pytest
 
 from kinmix.config import RunConfig, parse_config
 from kinmix.driver import run, setup_simulation, step
-from kinmix.homogeneous import moment_ode_run
+from kinmix.homogeneous import moment_ode_run, relative_entropy
 from kinmix.macrofv import MacroState, PositivityError, conserved_from_moments, moments_from_conserved
 from kinmix.model import (
     ExchangeQuantities,
@@ -623,6 +623,24 @@ class TestHomogeneousMode:
             assert all(np.array_equal(x, y) for x, y in zip(TestStep.arrays(a), TestStep.arrays(b)))
         assert d_new == d_old
 
+    ENTROPY = dict(CFG, Np1=4000, Np2=4000, t_end=5e-3, output_every=1)
+
+    def test_entropy_is_the_sum_of_both_species_relative_entropies(self):
+        # H(f_k|M_k) of the recorded f clipped at 0, on the histogram bins,
+        # against the Maxwellians of the macro moments
+        res = run(RunConfig(**dict(self.ENTROPY, preset="v4-maxwellian")))
+        grid, snap, macro, mr2 = res.grid, res.snapshots[-1], res.final_state.macro, res.params.mass_ratio2
+        moments = moments_from_conserved(macro.U1, 1.0), moments_from_conserved(macro.U2, mr2)
+        H1, H2 = (relative_entropy(np.clip(f[0], 0.0, None), m, mr, grid.v_bin_centers, grid.dv_bin)
+                  for f, m, mr in zip((snap.f1, snap.f2), moments, (1.0, mr2)))
+        assert H2 != 0.0
+        assert res.series["entropy"][-1] == H1 + H2
+        assert res.series["entropy"][0] > 0.4  # the v^4 species starts far from its Maxwellian
+
+    def test_entropy_of_a_maxwellian_start_is_zero(self):
+        res = run(RunConfig(**self.ENTROPY))
+        assert abs(res.series["entropy"][0]) < 1e-12
+
     def test_momentum_energy_drift_tiny(self):
         # the exchange map keeps the conserved combinations to round-off
         res = run(RunConfig(**self.CFG))
@@ -654,6 +672,15 @@ class TestRun:
         steps = cfg.output_every * np.arange(len(res.times))
         assert np.array_equal(res.times, steps * cfg.dt)
         assert res.times[-1] == cfg.t_end and res.snapshots[-1].t == cfg.t_end
+
+    @pytest.mark.parametrize("mode", ["general", "homogeneous", "reference"])
+    def test_last_step_is_labelled_t_end(self, mode):
+        # 9 * 1e-3 is 0.009000000000000001
+        cfg = RunConfig(mode=mode, Nx=1 if mode == "homogeneous" else 4, Nv=64, Np1=500, Np2=500, seed=2,
+                        dt=1e-3, t_end=0.009, output_every=4)
+        res = run(cfg)
+        assert res.times[-1] == cfg.t_end and res.snapshots[-1].t == cfg.t_end
+        assert np.array_equal(res.times[:-1], np.array([0, 4, 8]) * cfg.dt)
 
     def test_seeded_run_bit_reproducible(self):
         cfg = RunConfig(mode="general", Nx=16, Nv=32, Np1=4000, Np2=4000, seed=11,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kinmix import homogeneous
 from kinmix.grids import GridSpec
 from kinmix.homogeneous import (
     analytic_temperature_gap,
@@ -180,7 +181,7 @@ class TestRelativeEntropy:
         grid = self.grid()
         m = SpeciesMoments(n=1.2, u=0.1, T=0.4)
         f = maxwellian(m, 1.5, grid.v_nodes)
-        assert abs(relative_entropy(f, m, 1.5, grid)) < 1e-10
+        assert abs(relative_entropy(f, m, 1.5, grid.v_nodes, grid.v_weights)) < 1e-10
 
     def test_gibbs_nonnegative(self):
         grid = self.grid()
@@ -190,20 +191,20 @@ class TestRelativeEntropy:
             f = gaussian(1.0, rng.uniform(-1, 1), rng.uniform(0.3, 2), v) * (1 + 0.3 * np.cos(v))
             f = np.clip(f, 0.0, None)
             m = cellwise_moments(f, grid, 1.0)
-            assert relative_entropy(f, m, 1.0, grid) >= -1e-12
+            assert relative_entropy(f, m, 1.0, grid.v_nodes, grid.v_weights) >= -1e-12
 
     def test_negative_samples_rejected(self):
         grid = self.grid()
         f = np.full(grid.Nv, -1e-3)
         with pytest.raises(ValueError, match="negative"):
-            relative_entropy(f, SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0, grid)
+            relative_entropy(f, SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0, grid.v_nodes, grid.v_weights)
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
     def test_nonpositive_or_nan_temperature_rejected(self, T):
         grid = self.grid()
         f = maxwellian(SpeciesMoments(n=1.0, u=0.0, T=1.0), 1.0, grid.v_nodes)
         with pytest.raises(ValueError, match="requires T > 0"):
-            relative_entropy(f, SpeciesMoments(n=1.0, u=0.0, T=T), 1.0, grid)
+            relative_entropy(f, SpeciesMoments(n=1.0, u=0.0, T=T), 1.0, grid.v_nodes, grid.v_weights)
 
     def test_nan_sample_rejected(self):
         grid = self.grid()
@@ -211,21 +212,21 @@ class TestRelativeEntropy:
         f = maxwellian(m, 1.0, grid.v_nodes)
         f[3] = np.nan
         with pytest.raises(ValueError, match="negative"):
-            relative_entropy(f, m, 1.0, grid)
+            relative_entropy(f, m, 1.0, grid.v_nodes, grid.v_weights)
 
     def test_tiny_negatives_clipped(self):
         grid = self.grid()
         m = SpeciesMoments(n=1.0, u=0.0, T=1.0)
         f = maxwellian(m, 1.0, grid.v_nodes)
         f[0] = -1e-15
-        relative_entropy(f, m, 1.0, grid)  # must not raise
+        relative_entropy(f, m, 1.0, grid.v_nodes, grid.v_weights)  # must not raise
 
     def test_v4_entropy_positive_and_own_entropy_decays(self):
         grid = self.grid()
         v = grid.v_nodes
         f1 = v4_profile(v)
         m1 = cellwise_moments(f1, grid, 1.0)
-        H0 = relative_entropy(f1, m1, 1.0, grid)
+        H0 = relative_entropy(f1, m1, 1.0, grid.v_nodes, grid.v_weights)
         assert H0 > 0.4
         f2 = maxwellian(SpeciesMoments(n=1.2, u=0.1, T=0.1), 1.5, v)
         traj = kinetic_homogeneous_run(f1, f2, P1, grid, dt=2e-3, t_end=1.0, output_every=50)
@@ -310,3 +311,51 @@ class TestKineticHomogeneousRun:
         m = SpeciesMoments(n=1.0, u=0.0, T=1.0)
         f = maxwellian(m, 1.0, grid.v_nodes)
         assert l1_gap(f, m, 1.0, grid) < 1e-14
+
+
+class TestRunClock:
+    """Both library trajectories run on the package's one run clock."""
+
+    def run(self, loop, dt, t_end, output_every=1):
+        """The recorded times of the kinetic or the moment-ODE trajectory."""
+        if loop == "moments":
+            return moment_ode_run(*INIT, P1, N1, N2, dt=dt, t_end=t_end, output_every=output_every)[0]
+        grid = GridSpec(Nx=1, Nv=128)
+        f1 = v4_profile(grid.v_nodes)
+        f2 = maxwellian(SpeciesMoments(n=1.2, u=0.1, T=0.1), 1.5, grid.v_nodes)
+        traj = kinetic_homogeneous_run(f1, f2, P1, grid, dt=dt, t_end=t_end, output_every=output_every)
+        assert traj.entropy_per_step[-1][0] == traj.times[-1]
+        return traj.times
+
+    @pytest.mark.parametrize("loop", ["kinetic", "moments"])
+    def test_last_step_is_labelled_t_end(self, loop):
+        # 9 * 1e-3 is 0.009000000000000001
+        times = self.run(loop, dt=1e-3, t_end=0.009, output_every=4)
+        assert times[-1] == 0.009
+        assert np.array_equal(times[:-1], np.array([0, 4, 8]) * 1e-3)
+
+    @pytest.mark.parametrize("loop", ["kinetic", "moments"])
+    def test_t_end_not_a_whole_number_of_steps_rejected(self, loop):
+        # 3 steps end at 0.009: labelling that row t_end would be wrong
+        with pytest.raises(ValueError, match="t_end"):
+            self.run(loop, dt=3e-3, t_end=1e-2)
+
+    @pytest.mark.parametrize("loop", ["kinetic", "moments"])
+    def test_output_every_below_one_rejected(self, loop):
+        with pytest.raises(ValueError, match="output_every"):
+            self.run(loop, dt=1e-3, t_end=0.009, output_every=0)
+
+    @pytest.mark.parametrize("loop, name", [("kinetic", "dvm_step"), ("moments", "moment_ode_step")])
+    def test_failing_step_aborts_the_run_naming_it(self, monkeypatch, loop, name):
+        real, calls = getattr(homogeneous, name), []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("poisoned step")
+            return real(*args)
+
+        monkeypatch.setattr(homogeneous, name, failing)
+        with pytest.raises(RuntimeError, match=r"run aborted at step 2/9 .*poisoned step") as err:
+            self.run(loop, dt=1e-3, t_end=0.009)
+        assert isinstance(err.value.__cause__, FloatingPointError)
